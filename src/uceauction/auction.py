@@ -26,6 +26,7 @@ from .model import (
     ZERO_BUNDLE,
     economy_members,
     format_rational,
+    visible_economies,
 )
 from .pricing import (
     EnvelopePriceState,
@@ -33,7 +34,6 @@ from .pricing import (
     apply_under_demand_update,
     initial_state,
     rho,
-    rho_adjusted,
     uce_dual_objective,
 )
 
@@ -112,16 +112,16 @@ def run_uce_auction(
     instance: Instance,
     round_cap: int | None = None,
     enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
-    certify: bool = True,
 ):
     """Run the envelope-price auction; returns (AuctionOutcome, AuctionTrace).
 
     Each round broadcasts envelope prices, collects one demand report per
     agent, tests every economy's balance condition, and either terminates
-    (allocation + payments) or applies price updates.  update_mode "single"
-    updates one imbalanced economy per round (lowest index, over-demand
-    first); "batch" updates all over-demanded economies (or, if none, all
-    under-demanded ones), composing the offset increments additively.
+    (certification, allocation + payments) or applies price updates.
+    update_mode "single" updates one imbalanced economy per round (lowest
+    index, over-demand first); "batch" updates all over-demanded economies
+    (or, if none, all under-demanded ones), composing the offset increments
+    additively.
     """
     n = instance.n
     cap = round_cap if round_cap is not None else default_round_cap(instance)
@@ -165,25 +165,28 @@ def run_uce_auction(
         trace.records.append(record)
 
         if all(_settled(diagnosis[j], state.p[j]) for j in range(0, n + 1)):
-            if certify:
-                cert = oracle.certify_uce(
-                    instance, lambda i, k: rho_adjusted(state, i, k)
-                )
-                if not cert.passed:
-                    # Balance tests can accept prices at which some economy
-                    # still has no supported allocation (demanded sizes need
-                    # not span a contiguous range).  Take one exact descent
-                    # step and keep going.
-                    refined = _refine_state(instance, state)
-                    if refined is None:
-                        raise oracle.NotUniversal(
-                            "final prices fail CE certification and no"
-                            " improving direction exists: %s" % cert.failures()
-                        )
-                    state = refined
-                    for j in range(0, n + 1):
-                        record["updates"].append({"economy": j, "direction": "refine"})
-                    continue
+            tables = terminal_tables(instance, state)
+            witness = tables.failures()
+            if witness:
+                # Balance tests can accept prices at which some economy
+                # still has no supported allocation (demanded sizes need
+                # not span a contiguous range).  Take one exact descent
+                # step and keep going.
+                witness = {
+                    j: {key: format_rational(q) for key, q in w.items()}
+                    for j, w in witness.items()
+                }
+                refined = _refine_state(instance, state)
+                if refined is None:
+                    raise oracle.NotUniversal(
+                        "final prices fail CE certification and no"
+                        " improving direction exists: %s" % witness
+                    )
+                state = refined
+                record["witness"] = witness
+                for j in range(0, n + 1):
+                    record["updates"].append({"economy": j, "direction": "refine"})
+                continue
             allocation = final_allocation(
                 reports,
                 instance.K,
@@ -191,8 +194,7 @@ def run_uce_auction(
                 lambda i, k: instance.valuation(i).value(k) - rho(state, i, k),
                 value_fn=instance.adjusted_value,
             )
-            # The loop above already certified when asked to; do not repeat it.
-            payments = vcg_payments(state, allocation, instance, certify=False)
+            payments = vcg_payments(tables, allocation)
             outcome = AuctionOutcome(
                 allocation=allocation,
                 payments=payments,
@@ -240,19 +242,9 @@ def _uniform_clearing_price(instance, economy):
     """
     pool = []
     for i in economy_members(economy, instance.n):
-        v = instance.valuation(i)
-        best = {}
-        for k in v.bundles():
-            value = instance.adjusted_value(i, k)
-            if k.size not in best or value > best[k.size]:
-                best[k.size] = value
-        previous_size, previous = 0, ZERO
-        for size in sorted(best):
-            if size == 0:
-                continue
-            step = (best[size] - previous) / (size - previous_size)
-            pool.extend([step] * (size - previous_size))
-            previous_size, previous = size, best[size]
+        best = _best_value_by_size(instance, i)
+        for size in range(1, len(best)):
+            pool.append(best[size] - best[size - 1])
     pool.sort(reverse=True)
     if len(pool) <= instance.K:
         return ZERO
@@ -376,50 +368,117 @@ def _demanded_tuple_optimum(reports, K, value_fn):
     return dict(zip(agents, chosen))
 
 
-def _revenue_optimum(state, instance, members):
-    """Knapsack over agents x units maximizing total adjusted envelope price,
-    subject to at most K units in total.
+def _best_value_by_size(instance, i):
+    """Agent i's best adjusted value of a bundle of each size 0..capacity."""
+    best = [None] * (instance.valuation(i).capacity + 1)
+    for k in instance.valuation(i).bundles():
+        value = instance.adjusted_value(i, k)
+        if best[k.size] is None or value > best[k.size]:
+            best[k.size] = value
+    return best
 
-    Every member takes exactly one bundle (the zero bundle included): its
-    price need not be zero, so skipping an agent is not the same as assigning
-    nothing and must not be allowed.
+
+def _envelope_price_by_size(state, i, capacity):
+    """Agent i's adjusted envelope price of a bundle of each size 0..capacity.
+
+    The strong-unit bias cancels in the adjusted price, min over j of
+    |k|*p[j] + alpha[(i, j)], so the price depends on the size alone.
     """
-    best = {0: ZERO}
-    for i in members:
-        prices = {k: rho_adjusted(state, i, k) for k in instance.valuation(i).bundles()}
-        new = {}
-        for used, value in best.items():
-            for k, price in prices.items():
-                u = used + k.size
-                if u > instance.K:
-                    continue
-                cand = value + price
-                if u not in new or cand > new[u]:
-                    new[u] = cand
-        best = new
-    return max(best.values())
+    lines = [(state.p[j], state.alpha[(i, j)]) for j in visible_economies(i, state.n)]
+    return [min(size * p + a for p, a in lines) for size in range(capacity + 1)]
 
 
-def vcg_payments(state, allocation, instance, certify: bool = True):
-    """VCG payments from the final prices: for each agent, the revenue optimum
+def _merge(table, gains, K):
+    """(max,+) merge of an "at most u units" table with one more agent, who
+    takes exactly one size s (zero included) and gains gains[s]."""
+    top = len(gains) - 1
+    return [
+        max(table[u - s] + gains[s] for s in range(min(u, top) + 1))
+        for u in range(K + 1)
+    ]
+
+
+def _economy_optima(per_agent, K):
+    """Optimum of sum_i per_agent[i][s_i] over sizes with sum s_i <= K, for
+    the main economy (index 0) and every marginal economy i (agent i out).
+
+    Prefix and suffix group-knapsack tables over the agents are built once;
+    economy i joins prefix i-1 and suffix i+1 in one O(K) pass.
+    """
+    n = len(per_agent)
+    prefix = [[ZERO] * (K + 1)]
+    for i in range(1, n + 1):
+        prefix.append(_merge(prefix[-1], per_agent[i], K))
+    suffix = [[ZERO] * (K + 1)]
+    for i in range(n, 0, -1):
+        suffix.append(_merge(suffix[-1], per_agent[i], K))
+    suffix.reverse()  # suffix[t] covers agents t+1..n
+    optima = [prefix[n][K]]
+    for i in range(1, n + 1):
+        before, after = prefix[i - 1], suffix[i]
+        optima.append(max(before[u] + after[K - u] for u in range(K + 1)))
+    return optima
+
+
+@dataclass(frozen=True)
+class TerminalTables:
+    """Exact per-economy optima at one price state, all from size tables.
+
+    prices[i][s] is agent i's adjusted envelope price of a size-s bundle;
+    welfare[j], revenue[j] and utility_sum[j] are economy j's efficient
+    value, revenue optimum and the sum of its members' indirect utilities.
+    """
+
+    prices: dict
+    welfare: list
+    revenue: list
+    utility_sum: list
+
+    def failures(self) -> dict:
+        """Witnesses of the economies these prices do not support.
+
+        Every feasible allocation has welfare = utility + revenue <= the
+        utility sum plus the revenue optimum, with equality exactly when every
+        bundle is demanded and the allocation maximizes revenue.  So economy
+        j is supported iff welfare[j] == utility_sum[j] + revenue[j], for any
+        choice of efficient allocation.
+        """
+        return {
+            j: {
+                "welfare": self.welfare[j],
+                "utility_sum": self.utility_sum[j],
+                "revenue": self.revenue[j],
+            }
+            for j in range(len(self.welfare))
+            if self.welfare[j] != self.utility_sum[j] + self.revenue[j]
+        }
+
+
+def terminal_tables(instance, state) -> TerminalTables:
+    """Certification and payment data for every economy at one price state,
+    in O(n*K*gamma) exact steps (gamma: the largest agent capacity)."""
+    n = instance.n
+    values, prices, utility = {}, {}, {}
+    for i in range(1, n + 1):
+        values[i] = _best_value_by_size(instance, i)
+        prices[i] = _envelope_price_by_size(state, i, len(values[i]) - 1)
+        utility[i] = max(v - p for v, p in zip(values[i], prices[i]))
+    total = sum(utility.values(), ZERO)
+    return TerminalTables(
+        prices=prices,
+        welfare=_economy_optima(values, instance.K),
+        revenue=_economy_optima(prices, instance.K),
+        utility_sum=[total] + [total - utility[i] for i in range(1, n + 1)],
+    )
+
+
+def vcg_payments(tables: TerminalTables, allocation):
+    """VCG payments from certified prices: for each agent, the revenue optimum
     of its marginal economy minus the revenue the others generate under the
     final allocation."""
-    if certify:
-        cert = oracle.certify_uce(instance, lambda i, k: rho_adjusted(state, i, k))
-        if not cert.passed:
-            raise oracle.NotUniversal(
-                "final prices fail CE certification: %s" % cert.failures()
-            )
-    payments = {}
-    for i in range(1, instance.n + 1):
-        members = economy_members(i, instance.n)
-        marginal_revenue = _revenue_optimum(state, instance, members)
-        others = sum(
-            (rho_adjusted(state, ell, allocation.get(ell, ZERO_BUNDLE)) for ell in members),
-            ZERO,
-        )
-        payments[i] = marginal_revenue - others
-    return payments
+    revenue = {i: tables.prices[i][allocation[i].size] for i in tables.prices}
+    total = sum(revenue.values(), ZERO)
+    return {i: tables.revenue[i] - (total - revenue[i]) for i in tables.prices}
 
 
 def _run_linear(instance, members, round_cap, enumeration_bound):

@@ -2,7 +2,7 @@
 instances, and print side-by-side engine comparisons.
 
 Exit codes: 0 success, 2 usage/validation error, 3 invariant or certification
-failure.
+failure or round cap reached.
 """
 from __future__ import annotations
 
@@ -195,9 +195,7 @@ def _state_from_record(record: dict, n: int, delta: Fraction) -> EnvelopePriceSt
 
 def _run_engine(inst, engine, args):
     if engine == "uce":
-        return auction.run_uce_auction(
-            inst, round_cap=args.round_cap, certify=not args.no_certify
-        )
+        return auction.run_uce_auction(inst, round_cap=args.round_cap)
     if engine == "linear":
         return auction.run_linear_auction(inst, round_cap=args.round_cap)
     if engine == "parallel":
@@ -232,15 +230,8 @@ def cmd_run(args) -> int:
     if args.compare:
         return _cmd_compare(inst, digest, args)
 
-    try:
-        outcome, trace = _run_engine(inst, args.engine, args)
-    except oracle.NotUniversal as exc:
-        print("certification FAILED: %s" % exc, file=sys.stderr)
-        return EXIT_INVARIANT
-
-    certification = "n/a"
-    if args.engine == "uce" and not args.no_certify:
-        certification = "passed"
+    outcome, trace = _run_engine(inst, args.engine, args)
+    certification = "passed" if args.engine == "uce" else "n/a"
 
     weak, strong = _allocation_split(outcome.allocation)
     print("instance %s  engine %s  direction %s  mode %s"
@@ -295,7 +286,7 @@ def _cmd_compare(inst, digest, args) -> int:
 
 
 def _dump_counterexample(args, payload: dict) -> str:
-    path = _out_path(args, "counterexample.json")
+    path = _out_path(args, "counterexample-%d.json" % payload["index"])
     _write_text(path, json.dumps(payload, indent=2, default=str) + "\n")
     return path
 
@@ -469,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run uce, linear, and parallel and print one table")
     p_run.add_argument("--trace-csv", help="write the per-round trace as CSV")
     p_run.add_argument("--trace-json", help="write the full trace as JSON")
-    p_run.add_argument("--no-certify", action="store_true",
-                       help="skip the final CE certification (uce engine)")
     p_run.add_argument("--round-cap", type=int, default=None)
     p_run.add_argument("--step", default="1/2", help="subgradient step size")
     p_run.add_argument("--iterations", type=int, default=200)
@@ -527,9 +516,15 @@ def main(argv=None) -> int:
     except InstanceValidationError as exc:
         print("invalid instance: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing or unreadable file, a directory given as one
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
+    except auction.RoundLimitExceeded as exc:
+        print("round cap reached: %s" % exc, file=sys.stderr)
+        return EXIT_INVARIANT
+    except oracle.NotUniversal as exc:
+        print("certification FAILED: %s" % exc, file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

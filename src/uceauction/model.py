@@ -31,7 +31,17 @@ def parse_rational(text) -> Fraction:
         raise InstanceValidationError(
             "floats are not accepted; use a string like '0.01' or '1/100'"
         )
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InstanceValidationError("not an exact rational: %r" % (text,)) from exc
+
+
+def _integer(value, label: str) -> int:
+    """A JSON integer; floats, booleans and strings are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceValidationError("%s must be an integer, got %r" % (label, value))
+    return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -267,14 +277,18 @@ def valuation_to_dict(v: Valuation) -> dict:
 
 
 def valuation_from_dict(d: dict) -> Valuation:
+    if not isinstance(d, dict):
+        raise InstanceValidationError("an agent must be a JSON object, got %r" % (d,))
     kind = d.get("type")
     if kind == "multi_unit":
+        if not isinstance(d["marginals"], list):
+            raise InstanceValidationError("marginals must be a list")
         return MultiUnitValuation(tuple(parse_rational(m) for m in d["marginals"]))
     if kind == "product_mix":
         return ProductMixValuation(
             v_w=parse_rational(d["v_w"]),
             v_s=parse_rational(d["v_s"]),
-            gamma=int(d["gamma"]),
+            gamma=_integer(d["gamma"], "gamma"),
         )
     raise InstanceValidationError("unknown agent type: %r" % (kind,))
 
@@ -292,10 +306,14 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
+    if not isinstance(d, dict):
+        raise InstanceValidationError("an instance must be a JSON object")
     try:
+        if not isinstance(d["agents"], list):
+            raise InstanceValidationError("agents must be a list")
         return Instance(
             agents=tuple(valuation_from_dict(a) for a in d["agents"]),
-            K=int(d["K"]),
+            K=_integer(d["K"], "K"),
             delta=parse_rational(d.get("delta", 0)),
             epsilon=parse_rational(d.get("epsilon", 1)),
             p_init=parse_rational(d.get("p_init", 0)),
@@ -308,7 +326,11 @@ def instance_from_dict(d: dict) -> Instance:
 
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise InstanceValidationError("%s is not valid JSON: %s" % (path, exc)) from exc
+    return instance_from_dict(doc)
 
 
 def dump_instance(inst: Instance, path) -> None:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,13 @@ from uceauction.auction import (
     run_linear_auction,
     run_parallel_auction,
     run_uce_auction,
+    terminal_tables,
 )
+from uceauction.cli import _state_from_record
 from uceauction.demand import DemandReport
-from uceauction.generate import random_multi_unit_instance
+from uceauction.generate import random_multi_unit_instance, random_product_mix_instance
 from uceauction.model import Bundle, Instance, ZERO_BUNDLE, parse_rational
+from uceauction.pricing import EnvelopePriceState, rho_adjusted
 
 F = Fraction
 
@@ -209,3 +213,91 @@ def test_uniform_clearing_price_brackets_supply(table1):
         ]
         assert sum(r.kappa_min for r in reports) <= table1.K
         assert p == 0 or sum(r.kappa_max for r in reports) >= table1.K
+
+
+def _criterion3_instances():
+    """The 200 instances of acceptance criterion 3, in its order."""
+    rng = random.Random(12345)
+    for idx in range(200):
+        family = random_multi_unit_instance if idx % 2 else random_product_mix_instance
+        mode = ("batch", "single")[(idx // 2) % 2]
+        direction = ("ascending", "descending")[(idx // 4) % 2]
+        yield replace(family(rng, direction=direction), update_mode=mode)
+
+
+def _oracle_failures(inst, state):
+    return set(oracle.certify_uce(inst, lambda i, k: rho_adjusted(state, i, k)).failures())
+
+
+def test_certification_matches_oracle_on_random_states():
+    """Per-economy verdicts from the size tables equal the oracle's on random
+    price states, most of which support no equilibrium somewhere."""
+    rng = random.Random(99)
+    checked = failing = 0
+    for inst in _criterion3_instances():
+        for _ in range(5):
+            n = inst.n
+            state = EnvelopePriceState(
+                n=n,
+                p=tuple(F(rng.randint(0, 20), 2) for _ in range(n + 1)),
+                alpha={
+                    (i, j): F(rng.randint(0, 12), 2)
+                    for i in range(1, n + 1)
+                    for j in range(0, n + 1)
+                    if j != i
+                },
+                delta=inst.delta,
+            )
+            expected = _oracle_failures(inst, state)
+            assert set(terminal_tables(inst, state).failures()) == expected
+            checked += 1
+            failing += bool(expected)
+    assert checked >= 1000
+    assert failing > checked // 2
+
+
+def test_terminal_tables_match_oracle_on_engine_states():
+    """At every terminal state of criterion 3's runs, including the rejected
+    ones a refine step follows, verdicts, optima and payments equal the
+    oracle's."""
+    rejected = 0
+    for inst in _criterion3_instances():
+        out, trace = run_uce_auction(inst)
+        for record in trace.records:
+            if "witness" in record:
+                state = _state_from_record(record, inst.n, inst.delta)
+                expected = _oracle_failures(inst, state)
+                assert expected
+                assert set(terminal_tables(inst, state).failures()) == expected
+                assert set(record["witness"]) == expected
+                rejected += 1
+        state = out.final_state
+        tables = terminal_tables(inst, state)
+        assert tables.failures() == {} and _oracle_failures(inst, state) == set()
+        for j in range(0, inst.n + 1):
+            assert tables.welfare[j] == oracle.efficient_value(inst, j)[0]
+        expected = oracle.vcg_from_uce(
+            inst, lambda i, k: rho_adjusted(state, i, k), out.allocation
+        )
+        assert out.payments == expected
+    assert rejected > 0
+
+
+def test_refine_record_carries_certification_witness():
+    """A refine step records, for each unsupported economy, efficient welfare
+    strictly below the members' utility sum plus the revenue optimum."""
+    for inst in _criterion3_instances():
+        _, trace = run_uce_auction(inst)
+        refines = [r for r in trace.records if "witness" in r]
+        if refines:
+            break
+    else:
+        pytest.fail("no criterion-3 instance takes a refine step")
+    for record in refines:
+        assert [u["direction"] for u in record["updates"]] == ["refine"] * (inst.n + 1)
+        assert record["witness"]
+        for witness in record["witness"].values():
+            welfare, utility_sum, revenue = (
+                parse_rational(witness[key]) for key in ("welfare", "utility_sum", "revenue")
+            )
+            assert welfare < utility_sum + revenue

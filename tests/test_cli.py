@@ -166,6 +166,11 @@ def test_missing_instance_is_validation_error(capsys):
     capsys.readouterr()
 
 
+def test_directory_instance_is_validation_error(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_invalid_instance_is_validation_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"agents": [], "K": 0}))
@@ -174,7 +179,8 @@ def test_invalid_instance_is_validation_error(tmp_path, capsys):
 
 
 def test_verify_failure_dumps_counterexample(tmp_path, capsys, monkeypatch):
-    """Force a payoff mismatch to confirm the nonzero exit and the dump."""
+    """Force a payoff mismatch on two instances: nonzero exit and one dump per
+    failing instance, each named on its FAIL line."""
     from uceauction import cli, oracle
 
     real = oracle.vcg_from_definition
@@ -187,10 +193,64 @@ def test_verify_failure_dumps_counterexample(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.oracle, "vcg_from_definition", skewed)
     rc = main([
         "--out-dir", str(tmp_path),
-        "verify", "--suite", "vcg", "--seed", "3", "--count", "1",
+        "verify", "--suite", "vcg", "--seed", "3", "--count", "2",
     ])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert rc == 3
-    dump = json.loads((tmp_path / "counterexample.json").read_text())
-    assert dump["suite"] == "vcg"
-    assert "instance" in dump and "detail" in dump
+    for idx in (0, 1):
+        path = tmp_path / ("counterexample-%d.json" % idx)
+        assert "FAIL vcg instance %d (counterexample: %s)" % (idx, path) in out
+        dump = json.loads(path.read_text())
+        assert dump["suite"] == "vcg" and dump["index"] == idx
+        assert "instance" in dump and "detail" in dump
+    assert not (tmp_path / "counterexample.json").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--compare"]])
+def test_round_cap_exits_3_with_one_line(table1_file, capsys, extra):
+    assert main(["run", table1_file, "--round-cap", "2"] + extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("round cap reached:") and err.count("\n") == 1
+
+
+_AGENTS = [
+    {"type": "product_mix", "v_w": "3", "v_s": "5", "gamma": 3},
+    {"type": "multi_unit", "marginals": ["8", "5"]},
+]
+
+
+def _doc(**changes):
+    doc = {"K": 4, "agents": [dict(a) for a in _AGENTS]}
+    for key, value in changes.items():
+        if key == "gamma":
+            doc["agents"][0]["gamma"] = value
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _doc(delta="abc"),
+        _doc(epsilon="1/0"),
+        _doc(K=2.7),
+        _doc(K=True),
+        _doc(gamma=2.7),
+        _doc(gamma=True),
+        _doc(agents={"type": "multi_unit", "marginals": ["1"]}),
+        json.dumps([json.loads(_doc())]),
+        _doc()[:-5],
+    ],
+    ids=[
+        "rational-not-a-number", "rational-zero-denominator", "K-fractional", "K-boolean",
+        "gamma-fractional", "gamma-boolean", "agents-not-a-list", "top-level-list",
+        "malformed-json",
+    ],
+)
+def test_malformed_instance_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid instance:") and err.count("\n") == 1
