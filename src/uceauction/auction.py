@@ -41,7 +41,15 @@ ZERO = Fraction(0)
 
 
 class RoundLimitExceeded(RuntimeError):
-    """The engine did not terminate within the round cap."""
+    """The engine did not terminate within the round cap.
+
+    `trace` holds the records of every completed round, in the engine's own
+    record schema, with no outcome.
+    """
+
+    def __init__(self, message, trace):
+        super().__init__(message)
+        self.trace = trace
 
 
 class NoFeasibleSelection(RuntimeError):
@@ -227,7 +235,7 @@ def run_uce_auction(
                 state = apply_under_demand_update(state, j, kappa_max, instance.epsilon)
             record["updates"].append({"economy": j, "direction": kind})
 
-    raise RoundLimitExceeded("no termination within %d rounds" % cap)
+    raise RoundLimitExceeded("no termination within %d rounds" % cap, trace)
 
 
 def _uniform_clearing_price(instance, economy):
@@ -530,7 +538,10 @@ def _run_linear(instance, members, round_cap, enumeration_bound):
                 "rows": rows,
             }
         p = p + instance.epsilon if diag == OVER_DEMAND else p - instance.epsilon
-    raise RoundLimitExceeded("linear auction: no termination within %d rounds" % round_cap)
+    raise RoundLimitExceeded(
+        "linear auction: no termination within %d rounds" % round_cap,
+        AuctionTrace(records=rows),
+    )
 
 
 def run_linear_auction(
@@ -540,7 +551,11 @@ def run_linear_auction(
 ):
     """Uniform-price benchmark on the main economy; elicits no payment data."""
     cap = round_cap if round_cap is not None else default_round_cap(instance)
-    run = _run_linear(instance, economy_members(0, instance.n), cap, enumeration_bound)
+    try:
+        run = _run_linear(instance, economy_members(0, instance.n), cap, enumeration_bound)
+    except RoundLimitExceeded as exc:
+        exc.trace.records = [dict(row, economy=0) for row in exc.trace.records]
+        raise
     outcome = AuctionOutcome(
         allocation=run["allocation"],
         payments=None,
@@ -552,6 +567,20 @@ def run_linear_auction(
     )
     trace = AuctionTrace(records=[dict(row, economy=0) for row in run["rows"]], outcome=outcome)
     return outcome, trace
+
+
+def _parallel_records(rows_by_economy):
+    """One record per round, holding the row of every sub-auction still open."""
+    rounds = max((len(rows) for rows in rows_by_economy.values()), default=0)
+    return [
+        {
+            "round": r,
+            "economies": {
+                j: rows[r - 1] for j, rows in rows_by_economy.items() if r <= len(rows)
+            },
+        }
+        for r in range(1, rounds + 1)
+    ]
 
 
 def run_parallel_auction(
@@ -567,7 +596,14 @@ def run_parallel_auction(
     cap = round_cap if round_cap is not None else default_round_cap(instance)
     runs = {}
     for j in range(0, instance.n + 1):
-        runs[j] = _run_linear(instance, economy_members(j, instance.n), cap, enumeration_bound)
+        try:
+            runs[j] = _run_linear(instance, economy_members(j, instance.n), cap, enumeration_bound)
+        except RoundLimitExceeded as exc:
+            # Economies after j never started; the trace ends with j's rows.
+            rows = {ell: run["rows"] for ell, run in runs.items()}
+            rows[j] = exc.trace.records
+            exc.trace.records = _parallel_records(rows)
+            raise
 
     welfare = {
         j: sum(
@@ -583,14 +619,7 @@ def run_parallel_auction(
     }
     rounds = max(run["rounds"] for run in runs.values())
     queries = sum(run["queries"] for run in runs.values())
-
-    records = []
-    for r in range(1, rounds + 1):
-        entry = {"round": r, "economies": {}}
-        for j, run in runs.items():
-            if r <= run["rounds"]:
-                entry["economies"][j] = run["rows"][r - 1]
-        records.append(entry)
+    records = _parallel_records({j: run["rows"] for j, run in runs.items()})
 
     outcome = AuctionOutcome(
         allocation=main_alloc,

@@ -209,15 +209,15 @@ def cmd_run(args) -> int:
     n = inst.n
 
     if args.engine == "subgradient":
-        lp_opt = parse_rational(args.lp_optimum) if args.lp_optimum else None
         run = subgradient.run_subgradient(
-            inst, step=parse_rational(args.step), iterations=args.iterations, lp_optimum=lp_opt
+            inst, step=args.step, iterations=args.iterations, lp_optimum=args.lp_optimum
         )
         print("instance %s  engine subgradient  step %s" % (digest, args.step))
         print("iterations %d  best objective %s at iteration %d"
               % (len(run.log), format_rational(run.best_objective), run.best_iteration))
-        if lp_opt is not None:
-            print("gap to LP optimum: %s" % format_rational(run.best_objective - lp_opt))
+        if args.lp_optimum is not None:
+            print("gap to LP optimum: %s"
+                  % format_rational(run.best_objective - args.lp_optimum))
         if args.trace_csv:
             _write_text(args.trace_csv, _subgradient_log_csv(run))
         if args.trace_json:
@@ -230,7 +230,11 @@ def cmd_run(args) -> int:
     if args.compare:
         return _cmd_compare(inst, digest, args)
 
-    outcome, trace = _run_engine(inst, args.engine, args)
+    try:
+        outcome, trace = _run_engine(inst, args.engine, args)
+    except auction.RoundLimitExceeded as exc:
+        _write_traces(args, digest, n, exc.trace)
+        raise
     certification = "passed" if args.engine == "uce" else "n/a"
 
     weak, strong = _allocation_split(outcome.allocation)
@@ -247,22 +251,36 @@ def cmd_run(args) -> int:
     for key, val in outcome.details.items():
         print("%s %s" % (key, val))
 
+    _write_traces(args, digest, n, trace)
+    return EXIT_OK
+
+
+def _write_traces(args, digest: str, n: int, trace) -> None:
+    """Write --trace-csv and --trace-json.  A trace without an outcome is one
+    the round cap stopped; both files then end with a round-cap marker."""
+    capped = trace.outcome is None
     if args.trace_csv:
         if args.engine == "uce":
-            _write_text(args.trace_csv, _uce_trace_csv(trace, n))
+            text = _uce_trace_csv(trace, n)
         elif args.engine == "linear":
-            _write_text(args.trace_csv, _linear_trace_csv(trace))
+            text = _linear_trace_csv(trace)
         else:
-            _write_text(args.trace_csv, _parallel_trace_csv(trace))
+            text = _parallel_trace_csv(trace)
+        if capped:
+            buf = io.StringIO()
+            csv.writer(buf).writerow([len(trace.records), "", "", "", "", "", "round_cap"])
+            text += buf.getvalue()
+        _write_text(args.trace_csv, text)
     if args.trace_json:
         doc = {
             "instance_digest": digest,
             "engine": args.engine,
             "records": trace.records,
-            "outcome": _outcome_to_dict(outcome, n),
+            "outcome": None if capped else _outcome_to_dict(trace.outcome, n),
         }
+        if capped:
+            doc["round_cap_reached"] = True
         _write_text(args.trace_json, json.dumps(doc, indent=2, default=str) + "\n")
-    return EXIT_OK
 
 
 def _cmd_compare(inst, digest, args) -> int:
@@ -380,7 +398,7 @@ def cmd_gen(args) -> int:
             seed=args.seed,
             n=args.agents,
             K=args.supply,
-            epsilon=parse_rational(args.epsilon),
+            epsilon=args.epsilon,
             strong_only_fraction=args.strong_fraction,
             gamma_max=args.gamma_max,
             delta_steps=args.delta_steps,
@@ -441,6 +459,14 @@ def cmd_lp(args) -> int:
     return EXIT_OK
 
 
+def _rational_option(text: str) -> Fraction:
+    """argparse type for exact rational options: errors name the option."""
+    try:
+        return parse_rational(text)
+    except InstanceValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uceauction",
@@ -461,9 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace-csv", help="write the per-round trace as CSV")
     p_run.add_argument("--trace-json", help="write the full trace as JSON")
     p_run.add_argument("--round-cap", type=int, default=None)
-    p_run.add_argument("--step", default="1/2", help="subgradient step size")
+    p_run.add_argument("--step", type=_rational_option, default="1/2",
+                       help="subgradient step size")
     p_run.add_argument("--iterations", type=int, default=200)
-    p_run.add_argument("--lp-optimum", default=None,
+    p_run.add_argument("--lp-optimum", type=_rational_option, default=None,
                        help="known dual optimum for subgradient gap reporting")
     p_run.set_defaults(func=cmd_run)
 
@@ -486,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="product_mix")
     p_gen.add_argument("--agents", type=int, default=17)
     p_gen.add_argument("--supply", type=int, default=100)
-    p_gen.add_argument("--epsilon", default="1/100")
+    p_gen.add_argument("--epsilon", type=_rational_option, default="1/100")
     p_gen.add_argument("--strong-fraction", type=float, default=0.2)
     p_gen.add_argument("--gamma-max", type=int, default=None)
     p_gen.add_argument("--delta-steps", type=int, default=0)

@@ -3,7 +3,9 @@
 Builders emit the competitive-equilibrium primal/dual, their universal
 (all-economies) counterparts, the restricted dual that drives price updates,
 and the fully general explicit-allocation forms.  The solver is a desk-scale
-verifier: exact Fraction pivots, least-index anti-cycling rule.
+verifier: exact Fraction pivots over the nonzero columns of the pivot row,
+least-index anti-cycling rule, and a dual certificate that check_optimal
+verifies exactly.
 """
 from __future__ import annotations
 
@@ -53,11 +55,9 @@ class LinearProgram:
     variables: list = field(default_factory=list)
     objective: dict = field(default_factory=dict)
     constraints: list = field(default_factory=list)
-    annotations: dict = field(default_factory=dict)
 
-    def add_variable(self, name, free=False, annotation=None):
+    def add_variable(self, name, free=False):
         self.variables.append(Variable(name, free))
-        self.annotations[name] = annotation or name
         return name
 
     def add_constraint(self, name, coeffs, rel, rhs):
@@ -88,6 +88,10 @@ class SolveResult:
     status: str  # optimal | infeasible | unbounded
     objective: Fraction | None = None
     solution: dict | None = None
+    # Constraint name -> multiplier y with b.y equal to the optimum; see
+    # check_optimal for the sign conventions.  Set only when optimal.
+    dual: dict | None = None
+    pivots: int = 0
 
 
 def check_feasible(lp: LinearProgram, point: dict) -> bool:
@@ -110,12 +114,50 @@ def objective_value(lp: LinearProgram, point: dict) -> Fraction:
     return sum((coef * point.get(var, ZERO) for var, coef in lp.objective.items()), ZERO)
 
 
+def check_optimal(lp: LinearProgram, result: SolveResult) -> bool:
+    """Exact optimality certificate check of an `optimal` solve result.
+
+    With s = +1 for min and -1 for max, the dual y (one multiplier per
+    constraint name) must satisfy s*y >= 0 on >= rows, s*y <= 0 on <= rows,
+    s*(c_v - sum_r y_r a_rv) >= 0 for every variable v (= 0 if v is free),
+    and b.y must equal c.x for the primal point x, which must be feasible.
+    """
+    if result.status != "optimal" or result.solution is None or result.dual is None:
+        return False
+    point, dual = result.solution, result.dual
+    if not check_feasible(lp, point):
+        return False
+    if objective_value(lp, point) != result.objective:
+        return False
+    # Duplicate constraint names leave some row without its own multiplier.
+    if len(dual) != len(lp.constraints) or set(dual) != {con.name for con in lp.constraints}:
+        return False
+    s = ONE if lp.sense == "min" else -ONE
+    reduced = {v.name: lp.objective.get(v.name, ZERO) for v in lp.variables}
+    dual_objective = ZERO
+    for con in lp.constraints:
+        y = dual[con.name]
+        if (con.rel == ">=" and s * y < 0) or (con.rel == "<=" and s * y > 0):
+            return False
+        for name, coef in con.coeffs.items():
+            reduced[name] -= y * coef
+        dual_objective += y * con.rhs
+    for v in lp.variables:
+        d = s * reduced[v.name]
+        if d < 0 or (v.free and d != 0):
+            return False
+    return dual_objective == result.objective
+
+
 # ---------------------------------------------------------------------------
-# Two-phase simplex with the least-index (Bland) anti-cycling rule.
+# Two-phase simplex with the least-index (Bland) anti-cycling rule.  The
+# tableau rows are dense lists, but the programs here have a few nonzeros per
+# row, so a pivot touches only the nonzero columns of the pivot row.
 # ---------------------------------------------------------------------------
 
 def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
-    """Exact optimum and a vertex solution, or infeasible/unbounded status."""
+    """Exact optimum, a vertex solution and a dual certificate, or
+    infeasible/unbounded status."""
     columns = []  # (var name, sign) pairs; free vars split into +/- parts
     col_of = {}
     for v in lp.variables:
@@ -136,6 +178,7 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
     rows = []
     rhs = []
     rels = []
+    flipped = []
     for con in lp.constraints:
         row = [ZERO] * len(columns)
         for name, coef in con.coeffs.items():
@@ -145,6 +188,7 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
                 row[idx + 1] -= coef
         b = con.rhs
         rel = con.rel
+        flipped.append(b < 0)
         if b < 0:
             row = [-x for x in row]
             b = -b
@@ -155,49 +199,58 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
 
     n_struct = len(columns)
     m = len(rows)
-    # Slack/surplus columns, then artificials.
+    # Slack/surplus columns, then artificials.  Row r's slack or surplus
+    # sits at n_struct + r; row_col[r] is the column whose final reduced
+    # cost gives row r's multiplier (the artificial for = rows).
     artificial_cols = []
     basis = []
     for r in range(m):
         for rr in range(m):
             rows[rr].append(ONE if (rr == r and rels[r] == "<=") else (-ONE if (rr == r and rels[r] == ">=") else ZERO))
+    row_col = []
     for r in range(m):
         if rels[r] == "<=":
             basis.append(n_struct + r)
+            row_col.append(n_struct + r)
         else:
             col = len(rows[0])
             for rr in range(m):
                 rows[rr].append(ONE if rr == r else ZERO)
             artificial_cols.append(col)
             basis.append(col)
+            row_col.append(n_struct + r if rels[r] == ">=" else col)
 
     width = len(rows[0])
     tableau = [rows[r] + [rhs[r]] for r in range(m)]
+    pivots = 0
 
     def reduced_cost_row(cost):
         z = list(cost) + [ZERO] * (width - len(cost)) + [ZERO]
         for r, bvar in enumerate(basis):
             coef = z[bvar]
-            if coef != 0:
-                trow = tableau[r]
-                for jj in range(width + 1):
-                    z[jj] -= coef * trow[jj]
+            if coef:
+                for jj, x in enumerate(tableau[r]):
+                    if x:
+                        z[jj] -= coef * x
         return z
 
     def pivot(r, col):
+        """Pivot on (r, col); returns the nonzero columns of the new row r."""
+        nonlocal pivots
+        pivots += 1
         trow = tableau[r]
-        piv = trow[col]
-        inv = ONE / piv
-        tableau[r] = [x * inv for x in trow]
-        trow = tableau[r]
+        nonzero = [jj for jj, x in enumerate(trow) if x]
+        inv = ONE / trow[col]
+        for jj in nonzero:
+            trow[jj] *= inv
         for rr in range(m):
-            if rr == r:
-                continue
-            factor = tableau[rr][col]
-            if factor != 0:
-                other = tableau[rr]
-                tableau[rr] = [a - factor * b for a, b in zip(other, trow)]
+            other = tableau[rr]
+            factor = other[col]
+            if rr != r and factor:
+                for jj in nonzero:
+                    other[jj] -= factor * trow[jj]
         basis[r] = col
+        return nonzero
 
     def run_phase(z, allowed, budget):
         iterations = 0
@@ -227,10 +280,10 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
                         leaving = r
             if leaving is None:
                 return None  # unbounded
-            pivot(leaving, entering)
             factor = z[entering]
             trow = tableau[leaving]
-            z = [a - factor * b for a, b in zip(z, trow + [])]
+            for jj in pivot(leaving, entering):
+                z[jj] -= factor * trow[jj]
 
     allowed = [True] * width
 
@@ -243,7 +296,7 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
         if z is None:
             raise IterationLimit("phase 1 reported unbounded; malformed program")
         if -z[width] > 0:
-            return SolveResult(status="infeasible")
+            return SolveResult(status="infeasible", pivots=pivots)
         # Drive artificials out of the basis where possible.
         art_set = set(artificial_cols)
         for r in range(m):
@@ -263,7 +316,7 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
         z[col] = ZERO if basis.count(col) else z[col]
     z = run_phase(z, allowed, iteration_limit)
     if z is None:
-        return SolveResult(status="unbounded")
+        return SolveResult(status="unbounded", pivots=pivots)
 
     values = [ZERO] * width
     for r, bvar in enumerate(basis):
@@ -272,7 +325,16 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
     for idx, (name, sign) in enumerate(columns):
         solution[name] = solution.get(name, ZERO) + sign * values[idx]
     obj = objective_value(lp, solution)
-    return SolveResult(status="optimal", objective=obj, solution=solution)
+    # z[col] = cost[col] - y.A[col] for the internal min problem, where the
+    # slack of row r is +e_r, its surplus -e_r and its artificial +e_r (all
+    # of cost 0 in phase 2).  Undo the row flip and, for max, the cost sign.
+    dual = {}
+    for r, con in enumerate(lp.constraints):
+        y = z[row_col[r]] if rels[r] == ">=" else -z[row_col[r]]
+        if flipped[r]:
+            y = -y
+        dual[con.name] = y if minimize else -y
+    return SolveResult(status="optimal", objective=obj, solution=solution, dual=dual, pivots=pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +359,7 @@ def build_ce_primal(instance: Instance, economy: int, variable_cap: int = DEFAUL
     for i in members:
         for k in instance.valuation(i).bundles():
             name = "z_i%d_%s" % (i, _bundle_tag(k))
-            lp.add_variable(name, annotation="allocation indicator, agent %d bundle %s" % (i, tuple(k)))
+            lp.add_variable(name)
             lp.objective[name] = instance.adjusted_value(i, k)
     supply = {}
     for i in members:
@@ -317,10 +379,10 @@ def build_ce_dual(instance: Instance, economy: int, variable_cap: int = DEFAULT_
     members = economy_members(economy, instance.n)
     _check_variable_cap(len(members) + 1, variable_cap, "clearing-price dual")
     lp = LinearProgram(name="ce_dual_e%d" % economy, sense="min")
-    lp.add_variable("p", annotation="uniform unit price")
+    lp.add_variable("p")
     lp.objective["p"] = Fraction(instance.K)
     for i in members:
-        lp.add_variable("pi_i%d" % i, annotation="utility of agent %d" % i)
+        lp.add_variable("pi_i%d" % i)
         lp.objective["pi_i%d" % i] = ONE
     for i in members:
         for k in instance.valuation(i).bundles():
@@ -344,20 +406,16 @@ def build_uce_dual(instance: Instance, variable_cap: int = DEFAULT_VARIABLE_CAP)
 
     lp = LinearProgram(name="uce_dual", sense="min")
     for j in range(0, n + 1):
-        lp.add_variable("p_e%d" % j, annotation="unit price, economy %d" % j)
+        lp.add_variable("p_e%d" % j)
         lp.objective["p_e%d" % j] = Fraction(instance.K)
         for i in economy_members(j, n):
-            lp.add_variable("pi_i%d_e%d" % (i, j), annotation="utility copy, agent %d economy %d" % (i, j))
+            lp.add_variable("pi_i%d_e%d" % (i, j))
             lp.objective["pi_i%d_e%d" % (i, j)] = ONE
-            lp.add_variable("a_i%d_e%d" % (i, j), annotation="envelope offset, agent %d economy %d" % (i, j))
+            lp.add_variable("a_i%d_e%d" % (i, j))
             lp.objective["a_i%d_e%d" % (i, j)] = ONE
     for i in range(1, n + 1):
         for k in instance.valuation(i).bundles():
-            lp.add_variable(
-                "rho_i%d_%s" % (i, _bundle_tag(k)),
-                free=True,
-                annotation="envelope price, agent %d bundle %s" % (i, tuple(k)),
-            )
+            lp.add_variable("rho_i%d_%s" % (i, _bundle_tag(k)), free=True)
     for j in range(0, n + 1):
         for i in economy_members(j, n):
             for k in instance.valuation(i).bundles():
@@ -406,8 +464,8 @@ def build_uce_primal(
                 tag = _bundle_tag(k)
                 zname = "z_i%d_e%d_%s" % (i, j, tag)
                 bname = "b_i%d_e%d_%s" % (i, j, tag)
-                lp.add_variable(zname, annotation="valued allocation, agent %d economy %d bundle %s" % (i, j, tuple(k)))
-                lp.add_variable(bname, annotation="supplied allocation, agent %d economy %d bundle %s" % (i, j, tuple(k)))
+                lp.add_variable(zname)
+                lp.add_variable(bname)
                 lp.objective[zname] = instance.adjusted_value(i, k)
     for j in range(0, n + 1):
         supply = {}
@@ -454,14 +512,14 @@ def build_restricted_dual(
     n = instance.n
     lp = LinearProgram(name="restricted_dual", sense="min")
     for j in range(0, n + 1):
-        lp.add_variable("q_e%d" % j, free=True, annotation="unit-price direction, economy %d" % j)
+        lp.add_variable("q_e%d" % j, free=True)
         lp.objective["q_e%d" % j] = Fraction(instance.K)
         lp.add_constraint("q_lb_e%d" % j, {"q_e%d" % j: ONE}, ">=", -ONE)
         for i in economy_members(j, n):
             lam = "lam_i%d_e%d" % (i, j)
             nu = "nu_i%d_e%d" % (i, j)
-            lp.add_variable(lam, free=True, annotation="utility direction, agent %d economy %d" % (i, j))
-            lp.add_variable(nu, free=True, annotation="offset direction, agent %d economy %d" % (i, j))
+            lp.add_variable(lam, free=True)
+            lp.add_variable(nu, free=True)
             lp.objective[lam] = ONE
             lp.objective[nu] = ONE
             lp.add_constraint("lam_lb_i%d_e%d" % (i, j), {lam: ONE}, ">=", -ONE)
@@ -472,7 +530,7 @@ def build_restricted_dual(
         for k in instance.valuation(i).bundles():
             tag = _bundle_tag(k)
             r = "r_i%d_%s" % (i, tag)
-            lp.add_variable(r, free=True, annotation="bundle-price direction, agent %d bundle %s" % (i, tuple(k)))
+            lp.add_variable(r, free=True)
             lp.add_constraint("r_lb_i%d_%s" % (i, tag), {r: ONE}, ">=", -ONE)
     for i in range(1, n + 1):
         demanded = set(reports[i].maximizers)
@@ -581,24 +639,17 @@ def build_general_uce_lps(general: GeneralInstance, size_cap: int = GENERAL_SIZE
 
     dual = LinearProgram(name="general_uce_dual", sense="min")
     for j in range(0, n + 1):
-        dual.add_variable("mu_e%d" % j, annotation="seller revenue bound, economy %d" % j)
+        dual.add_variable("mu_e%d" % j)
         dual.objective["mu_e%d" % j] = ONE
         for i in economy_members(j, n):
-            dual.add_variable("pi_i%d_e%d" % (i, j), annotation="utility copy, agent %d economy %d" % (i, j))
+            dual.add_variable("pi_i%d_e%d" % (i, j))
             dual.objective["pi_i%d_e%d" % (i, j)] = ONE
-            dual.add_variable("a_i%d_e%d" % (i, j), annotation="envelope offset, agent %d economy %d" % (i, j))
+            dual.add_variable("a_i%d_e%d" % (i, j))
             for x in general.available(i):
-                dual.add_variable(
-                    "pg_i%d_x%s_e%d" % (i, x, j),
-                    annotation="personalized bundle price, agent %d bundle %s economy %d" % (i, x, j),
-                )
+                dual.add_variable("pg_i%d_x%s_e%d" % (i, x, j))
     for i in range(1, n + 1):
         for x in general.available(i):
-            dual.add_variable(
-                "rho_i%d_x%s" % (i, x),
-                free=True,
-                annotation="envelope price, agent %d bundle %s" % (i, x),
-            )
+            dual.add_variable("rho_i%d_x%s" % (i, x), free=True)
     for j in range(0, n + 1):
         for i in economy_members(j, n):
             for x in general.available(i):
@@ -629,13 +680,13 @@ def build_general_uce_lps(general: GeneralInstance, size_cap: int = GENERAL_SIZE
     primal = LinearProgram(name="general_uce_primal", sense="max")
     for j in range(0, n + 1):
         for t in range(len(general.allocations)):
-            primal.add_variable("d_y%d_e%d" % (t, j), annotation="seller mix weight, allocation %d economy %d" % (t, j))
+            primal.add_variable("d_y%d_e%d" % (t, j))
         for i in economy_members(j, n):
             for x in general.available(i):
                 zname = "z_i%d_x%s_e%d" % (i, x, j)
                 bname = "b_i%d_x%s_e%d" % (i, x, j)
-                primal.add_variable(zname, annotation="valued allocation, agent %d bundle %s economy %d" % (i, x, j))
-                primal.add_variable(bname, annotation="supplied allocation, agent %d bundle %s economy %d" % (i, x, j))
+                primal.add_variable(zname)
+                primal.add_variable(bname)
                 primal.objective[zname] = general.value(i, x)
     for j in range(0, n + 1):
         primal.add_constraint(

@@ -92,16 +92,25 @@ def _small_instances(count):
     return out
 
 
+def _certified_optimum(program):
+    res = lp.solve(program)
+    assert res.status == "optimal" and lp.check_optimal(program, res)
+    return res
+
+
 def test_criterion_04_primal_decomposition(table1):
     instances = _small_instances(50)
     for inst in instances:
-        total = lp.solve(lp.build_uce_primal(inst)).objective
+        total = _certified_optimum(lp.build_uce_primal(inst)).objective
         split = sum(
-            (lp.solve(lp.build_ce_primal(inst, j)).objective for j in range(0, inst.n + 1)),
+            (
+                _certified_optimum(lp.build_ce_primal(inst, j)).objective
+                for j in range(0, inst.n + 1)
+            ),
             F(0),
         )
         assert total == split
-    assert lp.solve(lp.build_uce_primal(table1)).objective == F(91)
+    assert _certified_optimum(lp.build_uce_primal(table1)).objective == F(91)
     _report(
         "criterion 4 primal decomposition on %d instances plus the worked example: PASS"
         % len(instances)
@@ -121,12 +130,15 @@ def _price_table(solution, prefix="rho_i"):
 
 def test_criterion_05_dual_prices_certify():
     instances = _small_instances(50)
+    pivots = 0
     for inst in instances:
-        res = lp.solve(lp.build_uce_dual(inst))
-        assert res.status == "optimal"
+        res = _certified_optimum(lp.build_uce_dual(inst))
+        pivots += res.pivots
         table = _price_table(res.solution)
         cert = oracle.certify_uce(inst, lambda i, k: table[(i, k)])
         assert cert.passed
+    # Bland's rule makes the pivot sequence deterministic.
+    assert pivots == 2420
     _report("criterion 5 dual prices certify on %d instances: PASS" % len(instances))
 
 
@@ -159,11 +171,13 @@ def test_criterion_06_descent_and_restricted_dual(table1, table1_single):
                 },
                 delta=inst.delta,
             )
-            res = lp.solve(lp.build_restricted_dual(inst, state, reports_at(inst, state)))
-            assert res.status == "optimal" and res.objective < 0
+            res = _certified_optimum(
+                lp.build_restricted_dual(inst, state, reports_at(inst, state))
+            )
+            assert res.objective < 0
     # Exactly zero at the terminal state of the reference run.
     out, _ = run_uce_auction(table1)
-    res = lp.solve(
+    res = _certified_optimum(
         lp.build_restricted_dual(table1, out.final_state, reports_at(table1, out.final_state))
     )
     assert res.objective == 0

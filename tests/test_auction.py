@@ -94,6 +94,31 @@ def test_round_cap_enforced(table1):
         run_uce_auction(table1, round_cap=2)
 
 
+def test_round_cap_keeps_completed_rounds(table1):
+    """The cap exception carries every completed round, in each engine's
+    record schema, exactly as the uncapped run records it."""
+    for engine, inst, cap in (
+        (run_uce_auction, table1, 2),
+        (run_linear_auction, table1, 2),
+        (run_uce_auction, table1, 4),
+    ):
+        _, full = engine(inst)
+        with pytest.raises(RoundLimitExceeded) as caught:
+            engine(inst, round_cap=cap)
+        assert caught.value.trace.outcome is None
+        assert caught.value.trace.records == full.records[:cap]
+    # Descending, economy 0 clears in 5 rounds and economy 1 needs 8, so a
+    # cap of 6 stops the second sub-auction; economies 2 and 3 never start.
+    down = Instance(agents=table1.agents, K=4, p_init=Fraction(9), direction="descending")
+    _, full = run_parallel_auction(down)
+    with pytest.raises(RoundLimitExceeded) as caught:
+        run_parallel_auction(down, round_cap=6)
+    records = caught.value.trace.records
+    assert [sorted(r["economies"]) for r in records] == [[0, 1]] * 5 + [[1]]
+    for got, want in zip(records, full.records):
+        assert got["economies"] == {j: want["economies"][j] for j in got["economies"]}
+
+
 def test_linear_auction_table1(table1):
     out, trace = run_linear_auction(table1)
     assert out.payments is None

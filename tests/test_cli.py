@@ -213,6 +213,50 @@ def test_round_cap_exits_3_with_one_line(table1_file, capsys, extra):
     assert err.startswith("round cap reached:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "engine, rows_per_round", [("uce", 4), ("linear", 1), ("parallel", 1)]
+)
+def test_round_cap_writes_partial_trace(table1_file, tmp_path, capsys, engine, rows_per_round):
+    trace_json = tmp_path / "trace.json"
+    trace_csv = tmp_path / "trace.csv"
+    rc = main([
+        "run", table1_file, "--engine", engine, "--round-cap", "2",
+        "--trace-json", str(trace_json), "--trace-csv", str(trace_csv),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("round cap reached:") and err.count("\n") == 1
+    doc = json.loads(trace_json.read_text())
+    assert doc["round_cap_reached"] is True and doc["outcome"] is None
+    assert [r["round"] for r in doc["records"]] == [1, 2]
+    with open(trace_csv) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 2 * rows_per_round + 1
+    assert {row[0] for row in rows[1:-1]} == {"1", "2"}
+    assert rows[-1] == ["2", "", "", "", "", "", "round_cap"]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["run", "{instance}", "--engine", "subgradient", "--step", "abc"], "--step"),
+        (["run", "{instance}", "--engine", "subgradient", "--lp-optimum", "1/0"], "--lp-optimum"),
+        (["gen", "--seed", "1", "--epsilon", "1/0", "--output", "{out}"], "--epsilon"),
+    ],
+    ids=["step", "lp-optimum", "gen-epsilon"],
+)
+def test_bad_rational_option_names_the_option(table1_file, tmp_path, capsys, argv, option):
+    out = tmp_path / "gen.json"
+    argv = [a.format(instance=table1_file, out=out) for a in argv]
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: not an exact rational" % option in err
+    assert "invalid instance" not in err
+    assert not out.exists()
+
+
 _AGENTS = [
     {"type": "product_mix", "v_w": "3", "v_s": "5", "gamma": 3},
     {"type": "multi_unit", "marginals": ["8", "5"]},

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,14 @@ from uceauction.model import Bundle, Instance, MultiUnitValuation
 from uceauction.pricing import initial_state
 
 F = Fraction
+
+
+def _solve(prog):
+    """Solve, and check the certificate of every optimal result exactly."""
+    res = lp.solve(prog)
+    if res.status == "optimal":
+        assert lp.check_optimal(prog, res)
+    return res
 
 
 def _rho_from_solution(solution, prefix="rho_i"):
@@ -30,7 +39,7 @@ def test_simplex_small_max():
     prog.objective = {"x": F(3), "y": F(2)}
     prog.add_constraint("c1", {"x": F(1), "y": F(1)}, "<=", F(4))
     prog.add_constraint("c2", {"x": F(1)}, "<=", F(2))
-    res = lp.solve(prog)
+    res = _solve(prog)
     assert res.status == "optimal"
     assert res.objective == F(10)
     assert res.solution["x"] == F(2) and res.solution["y"] == F(2)
@@ -41,7 +50,7 @@ def test_simplex_free_variable_and_fractions():
     prog.add_variable("x", free=True)
     prog.objective = {"x": F(1)}
     prog.add_constraint("lb", {"x": F(3)}, ">=", F(-2))
-    res = lp.solve(prog)
+    res = _solve(prog)
     assert res.status == "optimal"
     assert res.objective == F(-2, 3)
 
@@ -50,46 +59,132 @@ def test_simplex_infeasible_and_unbounded():
     bad = lp.LinearProgram(name="bad", sense="max")
     bad.add_variable("x")
     bad.add_constraint("c1", {"x": F(1)}, "<=", F(-1))
-    assert lp.solve(bad).status == "infeasible"
+    assert _solve(bad).status == "infeasible"
 
     unb = lp.LinearProgram(name="unb", sense="max")
     unb.add_variable("x")
     unb.objective = {"x": F(1)}
     unb.add_constraint("c1", {"x": F(-1)}, "<=", F(5))
-    assert lp.solve(unb).status == "unbounded"
+    assert _solve(unb).status == "unbounded"
+
+
+def _signed_toy(sense):
+    """min x + 2y + w (or max of its negation) with a flipped <= row, a
+    bound row and an equality row with a negative right-hand side."""
+    s = 1 if sense == "min" else -1
+    prog = lp.LinearProgram(name="signed", sense=sense)
+    prog.add_variable("x")
+    prog.add_variable("y")
+    prog.add_variable("w", free=True)
+    prog.objective = {"x": F(s), "y": F(2 * s), "w": F(s)}
+    prog.add_constraint("a", {"x": F(-1), "y": F(-1)}, "<=", F(-3))
+    prog.add_constraint("b", {"x": F(1)}, "<=", F(1))
+    prog.add_constraint("c", {"w": F(1), "y": F(-1)}, "=", F(-1))
+    return prog
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_dual_multipliers_undo_row_flip_and_sense(sense):
+    s = 1 if sense == "min" else -1
+    res = _solve(_signed_toy(sense))
+    assert res.objective == 6 * s
+    assert res.solution == {"x": F(1), "y": F(2), "w": F(1)}
+    assert res.dual == {"a": F(-3 * s), "b": F(-2 * s), "c": F(s)}
+
+
+def test_check_optimal_rejects_perturbed_certificates(table1):
+    prog = lp.build_uce_dual(table1)
+    res = _solve(prog)
+    for name in res.dual:
+        dual = dict(res.dual)
+        dual[name] += F(1, 7)
+        assert not lp.check_optimal(prog, replace(res, dual=dual)), name
+    missing = dict(res.dual)
+    missing.popitem()
+    assert not lp.check_optimal(prog, replace(res, dual=missing))
+    point = dict(res.solution)
+    point["p_e0"] += 1
+    assert not lp.check_optimal(prog, replace(res, solution=point))
+    assert not lp.check_optimal(prog, replace(res, objective=res.objective - 1))
+    # A feasible but suboptimal point has no dual certifying it.
+    toy = _signed_toy("min")
+    toy_res = _solve(toy)
+    worse = replace(toy_res, solution={"x": F(0), "y": F(3), "w": F(2)}, objective=F(8))
+    assert lp.check_feasible(toy, worse.solution)
+    assert not lp.check_optimal(toy, worse)
+    assert not lp.check_optimal(toy, lp.SolveResult(status="unbounded"))
+
+
+@pytest.mark.parametrize(
+    "dual, ok",
+    [
+        ({"w_lo": F(1), "x_lo": F(0)}, True),
+        ({"w_lo": F(1, 2), "x_lo": F(0)}, False),  # free w: reduced cost 1/2, not 0
+        ({"w_lo": F(1), "x_lo": F(-1)}, False),  # wrong sign on a >= row
+    ],
+)
+def test_check_optimal_dual_conditions(dual, ok):
+    """Zero right-hand sides make b.y = 0 for every y, so only the sign and
+    reduced-cost conditions can reject these multipliers."""
+    prog = lp.LinearProgram(name="zero_rhs", sense="min")
+    prog.add_variable("w", free=True)
+    prog.add_variable("x")
+    prog.objective = {"w": F(1), "x": F(1)}
+    prog.add_constraint("w_lo", {"w": F(1)}, ">=", F(0))
+    prog.add_constraint("x_lo", {"x": F(1)}, ">=", F(0))
+    assert lp.check_optimal(prog, _solve(prog))
+    result = lp.SolveResult(
+        status="optimal", objective=F(0), solution={"w": F(0), "x": F(0)}, dual=dual
+    )
+    assert lp.check_optimal(prog, result) is ok
+
+
+TABLE1_UCE_DUAL_RHO = {
+    "rho_i1_w0s0": F(-5), "rho_i1_w0s1": F(3), "rho_i1_w0s2": F(8),
+    "rho_i1_w0s3": F(12), "rho_i1_w0s4": F(15),
+    "rho_i2_w0s0": F(-3), "rho_i2_w0s1": F(4), "rho_i2_w0s2": F(7), "rho_i2_w0s3": F(9),
+    "rho_i3_w0s0": F(-2), "rho_i3_w0s1": F(4), "rho_i3_w0s2": F(5),
+}
+
+
+def test_pivot_counts_and_vertex_are_pinned(table1):
+    dual = _solve(lp.build_uce_dual(table1))
+    assert dual.pivots == 78
+    assert {k: v for k, v in dual.solution.items() if k.startswith("rho_")} == TABLE1_UCE_DUAL_RHO
+    assert _solve(lp.build_uce_primal(table1)).pivots == 139
 
 
 def test_ce_primal_per_economy_optima(table1):
     expected = {0: F(26), 1: F(18), 2: F(23), 3: F(24)}
     for j, want in expected.items():
-        res = lp.solve(lp.build_ce_primal(table1, j))
+        res = _solve(lp.build_ce_primal(table1, j))
         assert res.status == "optimal"
         assert res.objective == want
 
 
 def test_ce_dual_strong_duality(table1):
-    primal = lp.solve(lp.build_ce_primal(table1, 0)).objective
-    dual = lp.solve(lp.build_ce_dual(table1, 0)).objective
+    primal = _solve(lp.build_ce_primal(table1, 0)).objective
+    dual = _solve(lp.build_ce_dual(table1, 0)).objective
     assert primal == dual == F(26)
 
 
 def test_universal_primal_equals_economy_sum(table1):
-    total = lp.solve(lp.build_uce_primal(table1)).objective
+    total = _solve(lp.build_uce_primal(table1)).objective
     split = sum(
-        (lp.solve(lp.build_ce_primal(table1, j)).objective for j in range(0, 4)),
+        (_solve(lp.build_ce_primal(table1, j)).objective for j in range(0, 4)),
         F(0),
     )
     assert total == split == F(91)
 
 
 def test_tied_allocation_variables_do_not_change_optimum(table1):
-    tied = lp.solve(lp.build_uce_primal(table1, tie_allocation_vars=True))
+    tied = _solve(lp.build_uce_primal(table1, tie_allocation_vars=True))
     assert tied.status == "optimal"
     assert tied.objective == F(91)
 
 
 def test_universal_dual_prices_certify(table1):
-    res = lp.solve(lp.build_uce_dual(table1))
+    res = _solve(lp.build_uce_dual(table1))
     assert res.objective == F(91)
     price_fn = _rho_from_solution(res.solution)
     cert = oracle.certify_uce(table1, price_fn)
@@ -106,7 +201,7 @@ def test_restricted_dual_negative_at_start(table1):
     state = initial_state(3, F(0))
     reports = _reports_at(table1, state)
     prog = lp.build_restricted_dual(table1, state, reports)
-    res = lp.solve(prog)
+    res = _solve(prog)
     assert res.status == "optimal"
     assert res.objective == F(-35, 6)
 
@@ -136,7 +231,7 @@ def test_restricted_dual_zero_at_terminal(table1):
     out, _ = run_uce_auction(table1)
     state = out.final_state
     reports = _reports_at(table1, state)
-    res = lp.solve(lp.build_restricted_dual(table1, state, reports))
+    res = _solve(lp.build_restricted_dual(table1, state, reports))
     assert res.status == "optimal"
     assert res.objective == F(0)
 
@@ -185,8 +280,8 @@ def test_general_instance_pair_solves_and_certifies():
         n=2, bundles=bundles, empty="none", values=values, allocations=allocations
     )
     primal, dual = lp.build_general_uce_lps(general)
-    primal_res = lp.solve(primal)
-    dual_res = lp.solve(dual)
+    primal_res = _solve(primal)
+    dual_res = _solve(dual)
     # V(N) + V(-1) + V(-2) = 10 + 7 + 9.
     assert primal_res.objective == F(26)
     assert dual_res.objective == F(26)
