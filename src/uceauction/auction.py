@@ -9,31 +9,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import oracle
 from .demand import (
     BALANCED,
-    DEFAULT_ENUMERATION_BOUND,
     OVER_DEMAND,
     UNDER_DEMAND,
+    best_value_by_size,
     demand_at_linear_price,
     demand_set,
     diagnose,
     kappa_sums,
 )
 from .model import (
-    Bundle,
     Instance,
+    NotUniversal,
     ZERO_BUNDLE,
     economy_members,
     format_rational,
-    visible_economies,
 )
 from .pricing import (
     EnvelopePriceState,
     apply_over_demand_update,
     apply_under_demand_update,
+    envelope_price_by_size,
     initial_state,
-    rho,
     uce_dual_objective,
 )
 
@@ -53,7 +51,8 @@ class RoundLimitExceeded(RuntimeError):
 
 
 class NoFeasibleSelection(RuntimeError):
-    """No unit removal stays within demand sets; balance was violated upstream."""
+    """No combination of demanded bundles fits the supply; balance was
+    violated upstream."""
 
 
 @dataclass
@@ -73,8 +72,12 @@ class AuctionTrace:
     outcome: AuctionOutcome | None = None
 
 
-def default_round_cap(instance: Instance) -> int:
-    span = max(instance.max_adjusted_value(), instance.p_init)
+def default_round_cap(instance: Instance, values: dict) -> int:
+    """(n+1)*K rounds per epsilon-step spanning the start price and the
+    highest adjusted bundle value, plus slack.  values is
+    value_tables(instance); each table holds the empty bundle's 0."""
+    best = max(max(table) for table in values.values())
+    span = max(best, instance.p_init)
     steps = span / instance.epsilon
     return (instance.n + 1) * instance.K * (int(steps) + 1) + 16
 
@@ -116,11 +119,16 @@ def _report_row(reports):
     }
 
 
-def run_uce_auction(
-    instance: Instance,
-    round_cap: int | None = None,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
-):
+def value_tables(instance: Instance) -> dict:
+    """Every agent's best adjusted value per bundle size, built once per run
+    and shared by the demand queries and the terminal computations."""
+    return {
+        i: best_value_by_size(instance.valuation(i), instance.delta)
+        for i in range(1, instance.n + 1)
+    }
+
+
+def run_uce_auction(instance: Instance, round_cap: int | None = None):
     """Run the envelope-price auction; returns (AuctionOutcome, AuctionTrace).
 
     Each round broadcasts envelope prices, collects one demand report per
@@ -132,7 +140,8 @@ def run_uce_auction(
     additively.
     """
     n = instance.n
-    cap = round_cap if round_cap is not None else default_round_cap(instance)
+    values = value_tables(instance)
+    cap = round_cap if round_cap is not None else default_round_cap(instance, values)
     state = initial_state(n, instance.p_init, instance.delta)
     trace = AuctionTrace()
     cleared_round: dict = {}
@@ -143,7 +152,7 @@ def run_uce_auction(
     while rounds < cap:
         rounds += 1
         reports = {
-            i: demand_set(instance.valuation(i), state, i, enumeration_bound)
+            i: demand_set(instance.valuation(i), state, i, values[i])
             for i in range(1, n + 1)
         }
         queries += n
@@ -173,7 +182,7 @@ def run_uce_auction(
         trace.records.append(record)
 
         if all(_settled(diagnosis[j], state.p[j]) for j in range(0, n + 1)):
-            tables = terminal_tables(instance, state)
+            tables = terminal_tables(instance, state, values)
             witness = tables.failures()
             if witness:
                 # Balance tests can accept prices at which some economy
@@ -184,9 +193,9 @@ def run_uce_auction(
                     j: {key: format_rational(q) for key, q in w.items()}
                     for j, w in witness.items()
                 }
-                refined = _refine_state(instance, state)
+                refined = _refine_state(instance, state, values)
                 if refined is None:
-                    raise oracle.NotUniversal(
+                    raise NotUniversal(
                         "final prices fail CE certification and no"
                         " improving direction exists: %s" % witness
                     )
@@ -195,13 +204,7 @@ def run_uce_auction(
                 for j in range(0, n + 1):
                     record["updates"].append({"economy": j, "direction": "refine"})
                 continue
-            allocation = final_allocation(
-                reports,
-                instance.K,
-                {i: instance.valuation(i) for i in range(1, n + 1)},
-                lambda i, k: instance.valuation(i).value(k) - rho(state, i, k),
-                value_fn=instance.adjusted_value,
-            )
+            allocation = final_allocation(reports, instance.K, instance.adjusted_value)
             payments = vcg_payments(tables, allocation)
             outcome = AuctionOutcome(
                 allocation=allocation,
@@ -238,7 +241,7 @@ def run_uce_auction(
     raise RoundLimitExceeded("no termination within %d rounds" % cap, trace)
 
 
-def _uniform_clearing_price(instance, economy):
+def _uniform_clearing_price(instance, economy, values):
     """Market-clearing uniform unit price of one economy, in adjusted terms.
 
     Pools every member's per-unit marginal values (differences of the best
@@ -250,7 +253,7 @@ def _uniform_clearing_price(instance, economy):
     """
     pool = []
     for i in economy_members(economy, instance.n):
-        best = _best_value_by_size(instance, i)
+        best = values[i]
         for size in range(1, len(best)):
             pool.append(best[size] - best[size - 1])
     pool.sort(reverse=True)
@@ -259,7 +262,7 @@ def _uniform_clearing_price(instance, economy):
     return max(pool[instance.K], ZERO)
 
 
-def _refine_state(instance, state):
+def _refine_state(instance, state, values):
     """Exact repair step for a state every balance test accepts but that
     supports no competitive equilibrium in some economy.
 
@@ -271,19 +274,19 @@ def _refine_state(instance, state):
     the price program built from per-economy clearing prices.  Take p[j] as a
     uniform clearing price of economy j and set each offset to
     u_i(p[j]) - min over visible economies of u_i(p[j']), where u_i is agent
-    i's utility at the uniform price.  Every agent is then indifferent across
-    its price lines, each economy's clearing allocation stays demanded under
-    the envelope, and the objective telescopes to the sum of the per-economy
+    i's utility at the uniform price, the max over sizes s of
+    values[i][s] - s*p[j].  Every agent is then indifferent across its price
+    lines, each economy's clearing allocation stays demanded under the
+    envelope, and the objective telescopes to the sum of the per-economy
     optima, so the state is optimal.  Returns the new state, or None when the
     current state already achieves that value.
     """
     n = instance.n
-    p = [_uniform_clearing_price(instance, j) for j in range(0, n + 1)]
+    p = [_uniform_clearing_price(instance, j, values) for j in range(0, n + 1)]
     alpha = {}
     for i in range(1, n + 1):
-        v = instance.valuation(i)
         utility = {
-            j: max(instance.adjusted_value(i, k) - k.size * p[j] for k in v.bundles())
+            j: max(value - size * p[j] for size, value in enumerate(values[i]))
             for j in range(0, n + 1)
             if j != i
         }
@@ -296,72 +299,41 @@ def _refine_state(instance, state):
     return refined
 
 
-def final_allocation(reports, K, valuations, utility_fn, value_fn=None):
-    """Select a supported allocation once the main economy balances.
+def _representatives(report, i, value_fn):
+    """(bundle, value) of agent i's best-valued demanded bundle of each
+    demanded size (ties: more strong units), largest size first.  Any other
+    demanded bundle of the same size is worth no more, so it cannot change
+    the selection below."""
+    best = {}
+    for k in report.maximizers:
+        key = (value_fn(i, k), k.ks)
+        if k.size not in best or key > best[k.size][0]:
+            best[k.size] = (key, k)
+    return [(best[size][1], best[size][0][0]) for size in sorted(best, reverse=True)]
 
-    With exhaustive demand reports and a value function, picks the exact
-    value-maximizing combination of one demanded bundle per agent within the
-    supply.  At supporting prices value splits into constant utility plus
-    price, so this choice is simultaneously efficient and revenue-maximal;
-    greedier unit-removal schemes can land on a demanded but revenue-deficient
-    tuple.  Without a value function (or with truncated reports), falls back
-    to removing units one at a time from the largest demanded bundles,
-    preferring strong units, keeping every intermediate bundle demanded.
+
+def final_allocation(reports, K, value_fn):
+    """Select a supported allocation once the main economy balances: one
+    demanded bundle per agent, total size <= K, maximizing total value (ties:
+    larger total size, then earlier agents with larger bundles).
+
+    At supporting prices value splits into constant utility plus price, so
+    this choice is simultaneously efficient and revenue-maximal; greedier
+    unit-removal schemes can land on a demanded but revenue-deficient tuple.
     """
-    if value_fn is not None and all(r.exhaustive for r in reports.values()):
-        return _demanded_tuple_optimum(reports, K, value_fn)
-    allocation = {i: reports[i].largest_bundle() for i in reports}
-
-    def demanded(i, k):
-        return valuations[i].contains(k) and utility_fn(i, k) == reports[i].max_utility
-
-    total = sum(k.size for k in allocation.values())
-    while total > K:
-        removed = False
-        for i in sorted(allocation):
-            k = allocation[i]
-            if k.size == 0:
-                continue
-            candidates = []
-            if k.ks > 0:
-                candidates.append(Bundle(k.kw, k.ks - 1))
-            if k.kw > 0:
-                candidates.append(Bundle(k.kw - 1, k.ks))
-            for cand in candidates:
-                if demanded(i, cand):
-                    allocation[i] = cand
-                    removed = True
-                    break
-            if removed:
-                break
-        if not removed:
-            return _demanded_tuple_optimum(reports, K, value_fn)
-        total -= 1
-    return allocation
-
-
-def _demanded_tuple_optimum(reports, K, value_fn):
-    """One demanded bundle per agent, total size <= K, maximizing total value
-    (ties: larger total size, then earlier agents with larger bundles)."""
-    if value_fn is None:
-        raise NoFeasibleSelection(
-            "cannot reduce allocation to %d units within demand sets" % K
-        )
     agents = sorted(reports)
-    # best[u] = (value, size, choices) over the agents processed so far using
+    # best[u] = (value, choices) over the agents processed so far using
     # exactly u units; kappa_min choices guarantee feasibility at balance.
     best = {0: (ZERO, ())}
     for i in agents:
-        options = sorted(
-            set(reports[i].maximizers), key=lambda k: (k.size, k.ks, k.kw), reverse=True
-        )
+        options = _representatives(reports[i], i, value_fn)
         new = {}
         for used, (value, chosen) in best.items():
-            for k in options:
+            for k, gain in options:
                 u = used + k.size
                 if u > K:
                     continue
-                cand = (value + value_fn(i, k), chosen + (k,))
+                cand = (value + gain, chosen + (k,))
                 if u not in new or cand[0] > new[u][0]:
                     new[u] = cand
         best = new
@@ -374,26 +346,6 @@ def _demanded_tuple_optimum(reports, K, value_fn):
         key=lambda t: (t[0], t[1]),
     )
     return dict(zip(agents, chosen))
-
-
-def _best_value_by_size(instance, i):
-    """Agent i's best adjusted value of a bundle of each size 0..capacity."""
-    best = [None] * (instance.valuation(i).capacity + 1)
-    for k in instance.valuation(i).bundles():
-        value = instance.adjusted_value(i, k)
-        if best[k.size] is None or value > best[k.size]:
-            best[k.size] = value
-    return best
-
-
-def _envelope_price_by_size(state, i, capacity):
-    """Agent i's adjusted envelope price of a bundle of each size 0..capacity.
-
-    The strong-unit bias cancels in the adjusted price, min over j of
-    |k|*p[j] + alpha[(i, j)], so the price depends on the size alone.
-    """
-    lines = [(state.p[j], state.alpha[(i, j)]) for j in visible_economies(i, state.n)]
-    return [min(size * p + a for p, a in lines) for size in range(capacity + 1)]
 
 
 def _merge(table, gains, K):
@@ -462,14 +414,15 @@ class TerminalTables:
         }
 
 
-def terminal_tables(instance, state) -> TerminalTables:
+def terminal_tables(instance, state, values) -> TerminalTables:
     """Certification and payment data for every economy at one price state,
-    in O(n*K*gamma) exact steps (gamma: the largest agent capacity)."""
+    in O(n*K*gamma) exact steps (gamma: the largest agent capacity).
+    values is the run's value_tables(instance).
+    """
     n = instance.n
-    values, prices, utility = {}, {}, {}
+    prices, utility = {}, {}
     for i in range(1, n + 1):
-        values[i] = _best_value_by_size(instance, i)
-        prices[i] = _envelope_price_by_size(state, i, len(values[i]) - 1)
+        prices[i] = envelope_price_by_size(state, i, len(values[i]) - 1)
         utility[i] = max(v - p for v, p in zip(values[i], prices[i]))
     total = sum(utility.values(), ZERO)
     return TerminalTables(
@@ -489,7 +442,7 @@ def vcg_payments(tables: TerminalTables, allocation):
     return {i: tables.revenue[i] - (total - revenue[i]) for i in tables.prices}
 
 
-def _run_linear(instance, members, round_cap, enumeration_bound):
+def _run_linear(instance, members, round_cap, values):
     """Uniform-price loop on a subset of agents; returns per-run summary."""
     p = instance.p_init
     rounds = 0
@@ -499,9 +452,7 @@ def _run_linear(instance, members, round_cap, enumeration_bound):
         rounds += 1
         queries += len(members)
         reports = {
-            i: demand_at_linear_price(
-                instance.valuation(i), i, p, instance.delta, enumeration_bound
-            )
+            i: demand_at_linear_price(instance.valuation(i), i, p, instance.delta, values[i])
             for i in members
         }
         low = sum(r.kappa_min for r in reports.values())
@@ -522,14 +473,7 @@ def _run_linear(instance, members, round_cap, enumeration_bound):
             }
         )
         if _settled(diag, p):
-            allocation = final_allocation(
-                reports,
-                instance.K,
-                {i: instance.valuation(i) for i in members},
-                lambda i, k: instance.valuation(i).value(k)
-                - (k.kw * p + k.ks * (p + instance.delta)),
-                value_fn=instance.adjusted_value,
-            )
+            allocation = final_allocation(reports, instance.K, instance.adjusted_value)
             return {
                 "allocation": allocation,
                 "clearing_price": p,
@@ -544,15 +488,12 @@ def _run_linear(instance, members, round_cap, enumeration_bound):
     )
 
 
-def run_linear_auction(
-    instance: Instance,
-    round_cap: int | None = None,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
-):
+def run_linear_auction(instance: Instance, round_cap: int | None = None):
     """Uniform-price benchmark on the main economy; elicits no payment data."""
-    cap = round_cap if round_cap is not None else default_round_cap(instance)
+    values = value_tables(instance)
+    cap = round_cap if round_cap is not None else default_round_cap(instance, values)
     try:
-        run = _run_linear(instance, economy_members(0, instance.n), cap, enumeration_bound)
+        run = _run_linear(instance, economy_members(0, instance.n), cap, values)
     except RoundLimitExceeded as exc:
         exc.trace.records = [dict(row, economy=0) for row in exc.trace.records]
         raise
@@ -583,21 +524,18 @@ def _parallel_records(rows_by_economy):
     ]
 
 
-def run_parallel_auction(
-    instance: Instance,
-    round_cap: int | None = None,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
-):
+def run_parallel_auction(instance: Instance, round_cap: int | None = None):
     """n+1 independent uniform-price auctions, one per economy.
 
     Rounds are the maximum across the parallel runs; queries are summed.
     Payments come from comparing the main and marginal clearing outcomes.
     """
-    cap = round_cap if round_cap is not None else default_round_cap(instance)
+    values = value_tables(instance)
+    cap = round_cap if round_cap is not None else default_round_cap(instance, values)
     runs = {}
     for j in range(0, instance.n + 1):
         try:
-            runs[j] = _run_linear(instance, economy_members(j, instance.n), cap, enumeration_bound)
+            runs[j] = _run_linear(instance, economy_members(j, instance.n), cap, values)
         except RoundLimitExceeded as exc:
             # Economies after j never started; the trace ends with j's rows.
             rows = {ell: run["rows"] for ell, run in runs.items()}

@@ -7,6 +7,7 @@ failure or round cap reached.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -22,6 +23,7 @@ from .demand import demand_set
 from .model import (
     Instance,
     InstanceValidationError,
+    NotUniversal,
     ZERO_BUNDLE,
     format_rational,
     instance_to_dict,
@@ -43,18 +45,33 @@ def instance_digest(inst: Instance) -> str:
     return hashlib.sha256(canonical).hexdigest()[:16]
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write a file atomically (temp file + rename in the target directory)."""
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text file that replaces `path` only once it is completely written
+    (temp file + rename in the target directory)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_text(path: str, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
+def _write_json(path: str, doc) -> None:
+    """Encode straight into the file: a long trace's text is never held in
+    memory whole."""
+    with _atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2, default=str)
+        fh.write("\n")
 
 
 def _out_path(args, name: str) -> str:
@@ -221,10 +238,7 @@ def cmd_run(args) -> int:
         if args.trace_csv:
             _write_text(args.trace_csv, _subgradient_log_csv(run))
         if args.trace_json:
-            _write_text(
-                args.trace_json,
-                json.dumps({"instance_digest": digest, "log": run.log}, indent=2) + "\n",
-            )
+            _write_json(args.trace_json, {"instance_digest": digest, "log": run.log})
         return EXIT_OK
 
     if args.compare:
@@ -280,7 +294,7 @@ def _write_traces(args, digest: str, n: int, trace) -> None:
         }
         if capped:
             doc["round_cap_reached"] = True
-        _write_text(args.trace_json, json.dumps(doc, indent=2, default=str) + "\n")
+        _write_json(args.trace_json, doc)
 
 
 def _cmd_compare(inst, digest, args) -> int:
@@ -305,7 +319,7 @@ def _cmd_compare(inst, digest, args) -> int:
 
 def _dump_counterexample(args, payload: dict) -> str:
     path = _out_path(args, "counterexample-%d.json" % payload["index"])
-    _write_text(path, json.dumps(payload, indent=2, default=str) + "\n")
+    _write_json(path, payload)
     return path
 
 
@@ -367,7 +381,7 @@ def cmd_verify(args) -> int:
             else:
                 print("unknown suite %r" % args.suite, file=sys.stderr)
                 return EXIT_VALIDATION
-        except (auction.RoundLimitExceeded, oracle.NotUniversal) as exc:
+        except (auction.RoundLimitExceeded, NotUniversal) as exc:
             ok = False
             detail = {"error": str(exc)}
         if not ok:
@@ -549,7 +563,7 @@ def main(argv=None) -> int:
     except auction.RoundLimitExceeded as exc:
         print("round cap reached: %s" % exc, file=sys.stderr)
         return EXIT_INVARIANT
-    except oracle.NotUniversal as exc:
+    except NotUniversal as exc:
         print("certification FAILED: %s" % exc, file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -1,8 +1,13 @@
 """Agent-side demand oracle under envelope or linear prices.
 
-Computes utility-maximizing bundles, the min/max demanded sizes (kappa), and
-the per-economy over/under-demand diagnosis.  Ties are resolved by exact
-rational equality only; there is no tolerance parameter anywhere.
+Every price the engines quote is a per-size price plus delta per strong unit,
+so in bias-adjusted terms an agent's utility for a bundle k is its adjusted
+value minus a price that depends on |k| alone.  Demand is therefore fixed by
+two tables over sizes 0..capacity: the best adjusted value of each size (in
+closed form per valuation family) and the per-size price.  The demanded sizes
+are those where their difference peaks, and the maximizers are the bundles of
+those sizes that attain the best value.  Ties are resolved by exact rational
+equality only; there is no tolerance parameter anywhere.
 """
 from __future__ import annotations
 
@@ -13,15 +18,14 @@ from fractions import Fraction
 from .model import (
     Bundle,
     MultiUnitValuation,
-    ProductMixValuation,
     Valuation,
     economy_members,
 )
-from .pricing import EnvelopePriceState, rho
+from .pricing import EnvelopePriceState, envelope_price_by_size, line_by_size
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ENUMERATION_BOUND = 10**6
+ZERO = Fraction(0)
 
 BALANCED = "balanced"
 OVER_DEMAND = "over"
@@ -38,90 +42,96 @@ class DemandReport:
     max_utility: Fraction
     kappa_min: int
     kappa_max: int
-    maximizers: tuple  # bundles; full set when exhaustive, ray points otherwise
-    exhaustive: bool
-
-    def largest_bundle(self) -> Bundle:
-        return max(self.maximizers, key=lambda k: (k.size, k.ks, k.kw))
+    maximizers: tuple  # every utility-maximizing bundle, in (kw, ks) order
 
 
-def _report_from_candidates(agent, scored, exhaustive):
-    best = max(u for _, u in scored)
-    maximizers = tuple(sorted(k for k, u in scored if u == best))
-    sizes = [k.size for k in maximizers]
+def best_value_by_size(valuation: Valuation, delta: Fraction = ZERO) -> list:
+    """Best bias-adjusted value of a bundle of each size 0..capacity.
+
+    Multi-unit: prefix sums of the marginals, less delta per unit.
+    Product-mix: every unit is worth the better of v_s - delta and v_w, or
+    v_s - delta alone when weak units are outside the consumption set.
+    """
+    if isinstance(valuation, MultiUnitValuation):
+        values = [ZERO]
+        for m in valuation.marginals[: valuation.capacity]:
+            values.append(values[-1] + m - delta)
+        return values
+    unit = valuation.v_s - delta
+    if valuation.v_w > 0 and valuation.v_w > unit:
+        unit = valuation.v_w
+    return [s * unit for s in range(valuation.gamma + 1)]
+
+
+def _maximizers(valuation: Valuation, sizes: list, delta: Fraction) -> tuple:
+    """The bundles of the demanded sizes that attain the best adjusted value,
+    sorted: the strong ray, the weak ray, or on a tie every split."""
+    if isinstance(valuation, MultiUnitValuation) or valuation.v_w == 0:
+        return tuple(Bundle(0, s) for s in sizes)
+    strong = valuation.v_s - delta
+    if strong > valuation.v_w:
+        return tuple(Bundle(0, s) for s in sizes)
+    if strong < valuation.v_w:
+        return tuple(Bundle(s, 0) for s in sizes)
+    return tuple(sorted(Bundle(s - ks, ks) for s in sizes for ks in range(s + 1)))
+
+
+def _check_contiguity(agent, sizes, valuation, prices, delta):
+    if all(b - a <= 1 for a, b in zip(sizes, sizes[1:])):
+        return
+    record = {
+        "agent": agent,
+        "sizes": list(sizes),
+        "marginals": [str(m) for m in valuation.marginals],
+        # Quoted prices of the pure-strong bundles, bias included.
+        "prices": [str(price + s * delta) for s, price in enumerate(prices)],
+    }
+    contiguity_counterexamples.append(record)
+    log.warning("multi-unit demand sizes not contiguous: %s", record)
+
+
+def demand_from_size_tables(
+    valuation: Valuation,
+    agent: int,
+    values: list,
+    prices: list,
+    delta: Fraction = ZERO,
+) -> DemandReport:
+    """Demand report from the best adjusted value and the adjusted price of
+    each size 0..capacity.
+
+    delta is the strong-unit bias, which picks the maximizers within a size
+    and restores the quoted prices the contiguity monitor records.
+    """
+    utilities = [v - p for v, p in zip(values, prices)]
+    best = max(utilities)
+    sizes = [s for s, u in enumerate(utilities) if u == best]
+    if isinstance(valuation, MultiUnitValuation):
+        _check_contiguity(agent, sizes, valuation, prices, delta)
     return DemandReport(
         agent=agent,
         max_utility=best,
-        kappa_min=min(sizes),
-        kappa_max=max(sizes),
-        maximizers=maximizers,
-        exhaustive=exhaustive,
+        kappa_min=sizes[0],
+        kappa_max=sizes[-1],
+        maximizers=_maximizers(valuation, sizes, delta),
     )
-
-
-def _check_contiguity(agent, report, price_fn, valuation):
-    sizes = sorted(k.size for k in report.maximizers)
-    contiguous = all(b - a <= 1 for a, b in zip(sizes, sizes[1:]))
-    if not contiguous:
-        record = {
-            "agent": agent,
-            "sizes": sizes,
-            "marginals": [str(m) for m in valuation.marginals],
-            "prices": [str(price_fn(Bundle(0, s))) for s in range(valuation.capacity + 1)],
-        }
-        contiguity_counterexamples.append(record)
-        log.warning("multi-unit demand sizes not contiguous: %s", record)
-
-
-def demand_report_for_prices(
-    valuation: Valuation,
-    agent: int,
-    price_fn,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> DemandReport:
-    """Demand report against an arbitrary quoted price function (bias included).
-
-    Product-mix agents whose consumption set exceeds the enumeration bound are
-    handled by the ray shortcut: utilities are convex along line segments, so
-    the two axis rays carry a maximizer of every demanded size.
-    """
-    if isinstance(valuation, MultiUnitValuation):
-        scored = [(k, valuation.value(k) - price_fn(k)) for k in valuation.bundles()]
-        report = _report_from_candidates(agent, scored, exhaustive=True)
-        _check_contiguity(agent, report, price_fn, valuation)
-        return report
-
-    if valuation.bundle_count() <= enumeration_bound:
-        scored = [(k, valuation.value(k) - price_fn(k)) for k in valuation.bundles()]
-        return _report_from_candidates(agent, scored, exhaustive=True)
-    return _ray_shortcut(valuation, agent, price_fn)
-
-
-def _ray_shortcut(valuation: ProductMixValuation, agent: int, price_fn) -> DemandReport:
-    """Evaluate the two axis rays of the consumption-set triangle only."""
-    scored = [(Bundle(0, s), valuation.value(Bundle(0, s)) - price_fn(Bundle(0, s)))
-              for s in range(valuation.gamma + 1)]
-    if valuation.v_w > 0:
-        scored += [(Bundle(t, 0), valuation.value(Bundle(t, 0)) - price_fn(Bundle(t, 0)))
-                   for t in range(1, valuation.gamma + 1)]
-    return _report_from_candidates(agent, scored, exhaustive=False)
 
 
 def demand_set(
     valuation: Valuation,
     state: EnvelopePriceState,
     agent: int,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
+    values: list | None = None,
 ) -> DemandReport:
-    """Demand report of one agent against the current envelope prices."""
-    return demand_report_for_prices(
-        valuation, agent, lambda k: rho(state, agent, k), enumeration_bound
-    )
+    """Demand report of one agent against the current envelope prices.
 
-
-def linear_price_fn(p: Fraction, delta: Fraction):
-    """Quoted uniform prices: p per weak unit, p + delta per strong unit."""
-    return lambda k: k.kw * p + k.ks * (p + delta)
+    values is the agent's best_value_by_size table at the state's delta;
+    engines build it once per run and pass it in.
+    """
+    if values is None:
+        values = best_value_by_size(valuation, state.delta)
+    prices = envelope_price_by_size(state, agent, valuation.capacity)
+    return demand_from_size_tables(valuation, agent, values, prices, state.delta)
 
 
 def demand_at_linear_price(
@@ -129,11 +139,14 @@ def demand_at_linear_price(
     agent: int,
     p: Fraction,
     delta: Fraction,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
+    values: list | None = None,
 ) -> DemandReport:
-    return demand_report_for_prices(
-        valuation, agent, linear_price_fn(p, delta), enumeration_bound
-    )
+    """Demand report at uniform prices: p per weak unit, p + delta per strong
+    unit, which is s * p per size in adjusted terms."""
+    if values is None:
+        values = best_value_by_size(valuation, delta)
+    prices = line_by_size(p, ZERO, valuation.capacity)
+    return demand_from_size_tables(valuation, agent, values, prices, delta)
 
 
 def diagnose(reports: dict, K: int, j: int, n: int) -> str:

@@ -525,8 +525,6 @@ def build_restricted_dual(
             lp.add_constraint("lam_lb_i%d_e%d" % (i, j), {lam: ONE}, ">=", -ONE)
             lp.add_constraint("nu_lb_i%d_e%d" % (i, j), {nu: ONE}, ">=", -ONE)
     for i in range(1, n + 1):
-        if not reports[i].exhaustive:
-            raise ValueError("restricted dual needs exhaustive demand sets (agent %d)" % i)
         for k in instance.valuation(i).bundles():
             tag = _bundle_tag(k)
             r = "r_i%d_%s" % (i, tag)

@@ -17,6 +17,10 @@ class InstanceValidationError(ValueError):
     """Raised when an instance violates a structural requirement."""
 
 
+class NotUniversal(RuntimeError):
+    """Raised when a price state fails CE certification for some economy."""
+
+
 class BundleOutsideConsumptionSet(ValueError):
     """Raised when a bundle is evaluated against a valuation that excludes it."""
 
@@ -109,9 +113,6 @@ class MultiUnitValuation:
     def bundle_count(self) -> int:
         return self.capacity + 1
 
-    def max_value(self) -> Fraction:
-        return self.value(Bundle(0, self.capacity))
-
 
 @dataclass(frozen=True)
 class ProductMixValuation:
@@ -163,9 +164,6 @@ class ProductMixValuation:
         if self.v_w == 0:
             return self.gamma + 1
         return (self.gamma + 1) * (self.gamma + 2) // 2
-
-    def max_value(self) -> Fraction:
-        return self.v_s * self.gamma
 
 
 Valuation = Union[MultiUnitValuation, ProductMixValuation]
@@ -253,16 +251,6 @@ class Instance:
     def adjusted_value(self, i: int, k: Bundle) -> Fraction:
         """Agent value with the seller's strong-item bias delta applied."""
         return self.valuation(i).value(k, self.delta)
-
-    def max_adjusted_value(self) -> Fraction:
-        best = Fraction(0)
-        for v in self.agents:
-            for k in v.bundles():
-                best = max(best, v.value(k, self.delta))
-        return best
-
-    def total_capacity(self) -> int:
-        return sum(v.capacity for v in self.agents)
 
 
 def valuation_to_dict(v: Valuation) -> dict:

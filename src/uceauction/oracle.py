@@ -1,9 +1,12 @@
 """Ground-truth brute-force procedures.
 
-Efficient allocations and VCG payments straight from the definition, plus
-competitive-equilibrium certification of arbitrary price states.  Everything
-here works in the bias-adjusted economy (values net of delta per strong unit),
-which is the welfare problem the auctions solve.
+Demand reports by enumerating every bundle, efficient allocations and VCG
+payments straight from the definition, and competitive-equilibrium
+certification of arbitrary price states.  The allocation and certification
+procedures work in the bias-adjusted economy (values net of delta per strong
+unit), which is the welfare problem the auctions solve; the demand references
+take quoted prices, bias included, as the engines' demand oracle does.  These
+are references for tests and `verify`; no engine path calls them.
 """
 from __future__ import annotations
 
@@ -11,18 +14,44 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .demand import DemandReport
 from .model import (
     Bundle,
     Instance,
+    NotUniversal,
     ZERO_BUNDLE,
     economy_members,
 )
+from .pricing import rho
 
 ZERO = Fraction(0)
 
 
-class NotUniversal(RuntimeError):
-    """Raised when a price state fails CE certification for some economy."""
+def demand_by_enumeration(valuation, agent: int, price_fn) -> DemandReport:
+    """Reference demand report: every bundle of the consumption set scored
+    against a quoted price function (strong-unit bias included)."""
+    scored = [(k, valuation.value(k) - price_fn(k)) for k in valuation.bundles()]
+    best = max(u for _, u in scored)
+    maximizers = tuple(sorted(k for k, u in scored if u == best))
+    sizes = [k.size for k in maximizers]
+    return DemandReport(
+        agent=agent,
+        max_utility=best,
+        kappa_min=min(sizes),
+        kappa_max=max(sizes),
+        maximizers=maximizers,
+    )
+
+
+def demand_set_by_enumeration(valuation, state, agent: int) -> DemandReport:
+    """Reference for `demand.demand_set`: enumeration at envelope prices."""
+    return demand_by_enumeration(valuation, agent, lambda k: rho(state, agent, k))
+
+
+def demand_at_linear_price_by_enumeration(valuation, agent: int, p, delta) -> DemandReport:
+    """Reference for `demand.demand_at_linear_price`: enumeration at p per
+    weak unit and p + delta per strong unit."""
+    return demand_by_enumeration(valuation, agent, lambda k: k.kw * p + k.ks * (p + delta))
 
 
 def _best_assignment(members, valuations, K, value_fn):

@@ -29,9 +29,6 @@ class EnvelopePriceState:
     alpha: dict  # (agent i, economy j) -> Fraction, j != i
     delta: Fraction = ZERO
 
-    def dimension(self) -> int:
-        return self.n * self.n + self.n + 1
-
     def replace(self, p=None, alpha=None) -> "EnvelopePriceState":
         return EnvelopePriceState(
             n=self.n,
@@ -65,6 +62,29 @@ def rho_adjusted(state: EnvelopePriceState, i: int, k: Bundle) -> Fraction:
     return rho(state, i, k) - state.delta * k.ks
 
 
+def envelope_price_by_size(state: EnvelopePriceState, i: int, capacity: int) -> list:
+    """Agent i's adjusted envelope price of a bundle of each size 0..capacity.
+
+    The strong-unit bias cancels in the adjusted price, min over j of
+    |k|*p[j] + alpha[(i, j)], so it depends on the size alone; the quoted
+    price of bundle k is this plus delta * ks.
+    """
+    lines = [
+        line_by_size(state.p[j], state.alpha[(i, j)], capacity)
+        for j in visible_economies(i, state.n)
+    ]
+    return [min(prices) for prices in zip(*lines)]
+
+
+def line_by_size(unit: Fraction, offset: Fraction, capacity: int) -> list:
+    """offset + size * unit for each size 0..capacity, by repeated addition
+    (exact, and cheaper than one Fraction product per size)."""
+    values = [offset]
+    for _ in range(capacity):
+        values.append(values[-1] + unit)
+    return values
+
+
 def envelope_argmin(state: EnvelopePriceState, i: int, k: Bundle) -> tuple:
     """All economies attaining the envelope minimum for (i, k), ties included."""
     prices = [(j, line_price(state, i, j, k)) for j in visible_economies(i, state.n)]
@@ -90,36 +110,16 @@ def apply_under_demand_update(
 def _apply_update(state, j, kappa, step):
     p = list(state.p)
     p[j] += step
+    shift = {i: step * kappa[i] for i in range(1, state.n + 1)}
     alpha = dict(state.alpha)
     for ell in range(0, state.n + 1):
         if ell == j:
             continue
         for i in economy_members(ell, state.n):
-            alpha[(i, ell)] += step * kappa[i]
-    return state.replace(p=p, alpha=alpha)
-
-
-def normalize(state: EnvelopePriceState, i: int):
-    """Subtract min_j alpha[(i, j)] from agent i's offsets.
-
-    Returns (new state, shift).  Afterwards the zero bundle has price 0 for
-    agent i; all pairwise price differences are preserved exactly.
-    """
-    shift = min(state.alpha[(i, j)] for j in visible_economies(i, state.n))
-    if shift == 0:
-        return state, ZERO
-    alpha = dict(state.alpha)
-    for j in visible_economies(i, state.n):
-        alpha[(i, j)] -= shift
-    return state.replace(alpha=alpha), shift
-
-
-def normalize_all(state: EnvelopePriceState):
-    """Normalize every agent; returns (state, {agent: shift})."""
-    shifts = {}
-    for i in range(1, state.n + 1):
-        state, shifts[i] = normalize(state, i)
-    return state, shifts
+            alpha[(i, ell)] += shift[i]
+    # alpha is already a private copy, so build the state directly rather
+    # than through replace(), which would copy it again.
+    return EnvelopePriceState(n=state.n, p=tuple(p), alpha=alpha, delta=state.delta)
 
 
 def uce_dual_objective(instance: Instance, state: EnvelopePriceState) -> Fraction:

@@ -54,7 +54,7 @@ def _recompute_alpha(instance, rho, p):
     return alpha
 
 
-def _dual_objective(instance, rho, p, alpha):
+def _dual_objective(instance, values, rho, p, alpha):
     """Feasible UCE dual objective: pi and alpha clamped at zero, prices at p.
 
     The clamps keep the evaluation inside the dual's feasible region, so the
@@ -63,11 +63,7 @@ def _dual_objective(instance, rho, p, alpha):
     n = instance.n
     pi = {}
     for i in range(1, n + 1):
-        v = instance.valuation(i)
-        pi[i] = max(
-            max(v.value(k, instance.delta) - rho[(i, k)] for k in v.bundles()),
-            ZERO,
-        )
+        pi[i] = max(max(value - rho[(i, k)] for k, value in values[i]), ZERO)
     total = ZERO
     for j in range(0, n + 1):
         members = economy_members(j, n)
@@ -100,23 +96,27 @@ def run_subgradient(
         for k in instance.valuation(i).bundles()
     }
     p = [Fraction(instance.p_init)] * (n + 1)
+    # Adjusted values never change across iterations: (bundle, value) pairs
+    # per agent, in bundle order.
+    values = {
+        i: [(k, instance.adjusted_value(i, k)) for k in instance.valuation(i).bundles()]
+        for i in range(1, n + 1)
+    }
     run = SubgradientRun()
+    alpha = _recompute_alpha(instance, rho, p) if iterations < 1 else None
 
     for it in range(1, iterations + 1):
         # Agent-side selection: one demanded bundle per agent, reused for
         # every economy the agent participates in.
         z_pick = {}
         for i in range(1, n + 1):
-            v = instance.valuation(i)
-            z_pick[i] = _lex_argmax(
-                [(k, v.value(k, instance.delta) - rho[(i, k)]) for k in v.bundles()]
-            )
+            z_pick[i] = _lex_argmax([(k, value - rho[(i, k)]) for k, value in values[i]])
         # Seller-side selection per (economy, agent), from prices alone.
         beta_pick = {}
         for j in range(0, n + 1):
             for i in economy_members(j, n):
                 beta_pick[(j, i)] = _lex_argmax(
-                    [(k, rho[(i, k)] - k.size * p[j]) for k in instance.valuation(i).bundles()]
+                    [(k, rho[(i, k)] - k.size * p[j]) for k, _ in values[i]]
                 )
 
         max_component = ZERO
@@ -135,7 +135,7 @@ def run_subgradient(
             new_p[j] = max(p[j] + step * grad, ZERO)
         new_rho = dict(rho)
         for i in range(1, n + 1):
-            for k in instance.valuation(i).bundles():
+            for k, _ in values[i]:
                 z_count = n if k == z_pick[i] else 0
                 b_count = sum(
                     1 for j in visible_economies(i, n) if beta_pick[(j, i)] == k
@@ -147,7 +147,7 @@ def run_subgradient(
         rho, p = new_rho, new_p
 
         alpha = _recompute_alpha(instance, rho, p)
-        objective = _dual_objective(instance, rho, p, alpha)
+        objective = _dual_objective(instance, values, rho, p, alpha)
         if run.best_objective is None or objective < run.best_objective:
             run.best_objective = objective
             run.best_iteration = it
@@ -161,5 +161,6 @@ def run_subgradient(
             entry["gap"] = format_rational(run.best_objective - lp_optimum)
         run.log.append(entry)
 
-    run.state = SubgradientState(rho=rho, p=p, alpha=_recompute_alpha(instance, rho, p), step=step)
+    # alpha is the last iteration's, computed from the final rho and p.
+    run.state = SubgradientState(rho=rho, p=p, alpha=alpha, step=step)
     return run

@@ -244,20 +244,25 @@ def test_criterion_08_demand_oracle_cross_check(tmp_path):
             delta=F(rng.randint(0, 3)),
         )
         fast = demand.demand_set(valuation, state, i)
-        slow = demand.demand_set(valuation, state, i, enumeration_bound=10**9)
+        slow = oracle.demand_set_by_enumeration(valuation, state, i)
         assert fast.max_utility == slow.max_utility
         assert fast.kappa_min == slow.kappa_min
         assert fast.kappa_max == slow.kappa_max
+        assert fast == slow
         pairs += 1
 
     # Trigger the multi-unit contiguity monitor on a known non-convex case and
     # persist whatever it collected; silent disagreement is the only failure.
-    from uceauction.demand import contiguity_counterexamples, demand_report_for_prices
+    from uceauction.demand import (
+        best_value_by_size,
+        contiguity_counterexamples,
+        demand_from_size_tables,
+    )
     from uceauction.model import MultiUnitValuation
 
-    prices = {0: F(0), 1: F(4), 2: F(8), 3: F(9)}
-    demand_report_for_prices(
-        MultiUnitValuation((F(7), F(3), F(2))), 1, lambda k: prices[k.size]
+    valuation = MultiUnitValuation((F(7), F(3), F(2)))
+    demand_from_size_tables(
+        valuation, 1, best_value_by_size(valuation), [F(0), F(4), F(8), F(9)]
     )
     path = tmp_path / "contiguity_counterexamples.json"
     path.write_text(json.dumps(contiguity_counterexamples, indent=2, default=str))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from uceauction import oracle
+from uceauction import auction, oracle
 from uceauction.auction import (
     NoFeasibleSelection,
     RoundLimitExceeded,
@@ -13,10 +13,15 @@ from uceauction.auction import (
     run_parallel_auction,
     run_uce_auction,
     terminal_tables,
+    value_tables,
 )
 from uceauction.cli import _state_from_record
 from uceauction.demand import DemandReport
-from uceauction.generate import random_multi_unit_instance, random_product_mix_instance
+from uceauction.generate import (
+    generate_product_mix,
+    random_multi_unit_instance,
+    random_product_mix_instance,
+)
 from uceauction.model import Bundle, Instance, ZERO_BUNDLE, parse_rational
 from uceauction.pricing import EnvelopePriceState, rho_adjusted
 
@@ -156,37 +161,28 @@ def test_final_allocation_handles_size_gaps():
     """A demanded-size gap defeats one-at-a-time trimming; the fallback must
     still find an exact split of the supply among demanded bundles."""
     reports = {
-        1: DemandReport(1, F(3), 1, 3, (Bundle(0, 1), Bundle(0, 3)), True),
-        2: DemandReport(2, F(0), 3, 3, (Bundle(0, 3),), True),
+        1: DemandReport(1, F(3), 1, 3, (Bundle(0, 1), Bundle(0, 3))),
+        2: DemandReport(2, F(0), 3, 3, (Bundle(0, 3),)),
     }
-    allocation = final_allocation(
-        reports, 4, {}, lambda i, k: F(0), value_fn=lambda i, k: F(k.size)
-    )
+    allocation = final_allocation(reports, 4, lambda i, k: F(k.size))
     assert allocation[1].size + allocation[2].size == 4
     assert allocation[1] in reports[1].maximizers
     assert allocation[2] in reports[2].maximizers
 
 
-def test_final_allocation_without_value_fn_raises_on_size_gap():
-    from uceauction.model import MultiUnitValuation
-
-    valuations = {
-        1: MultiUnitValuation((F(7), F(3), F(2))),
-        2: MultiUnitValuation((F(5), F(4), F(3))),
-    }
-    prices = {1: {0: F(0), 1: F(4), 2: F(8), 3: F(9)}, 2: {0: F(0), 1: F(0), 2: F(0), 3: F(0)}}
-
-    def utility(i, k):
-        return valuations[i].value(k) - prices[i][k.ks]
-
+def test_final_allocation_picks_best_bundle_of_each_size():
+    """Among demanded bundles of one size the higher-valued one wins, ties
+    to more strong units; and no fitting tuple is an error, not a guess."""
     reports = {
-        1: DemandReport(1, F(3), 1, 3, (Bundle(0, 1), Bundle(0, 3)), True),
-        2: DemandReport(2, F(12), 3, 3, (Bundle(0, 3),), True),
+        1: DemandReport(1, F(0), 2, 2, (Bundle(0, 2), Bundle(1, 1), Bundle(2, 0))),
+        2: DemandReport(2, F(0), 1, 2, (Bundle(0, 1), Bundle(1, 1))),
     }
-    # Trimming from (3, 3) cannot reach four units one step at a time: agent
-    # 1's demanded sizes skip 2 and agent 2 has a single demanded size.
+    flat = final_allocation(reports, 4, lambda i, k: F(k.size))
+    assert flat == {1: Bundle(0, 2), 2: Bundle(1, 1)}
+    weak = final_allocation(reports, 4, lambda i, k: F(k.size + k.kw))
+    assert weak == {1: Bundle(2, 0), 2: Bundle(1, 1)}
     with pytest.raises(NoFeasibleSelection):
-        final_allocation(reports, 4, valuations, utility)
+        final_allocation(reports, 2, lambda i, k: F(k.size))
 
 
 def test_balanced_but_unsupported_state_gets_repaired():
@@ -227,9 +223,10 @@ def test_uniform_clearing_price_brackets_supply(table1):
 
     # Pooled marginals of the full economy: 8,7,6,5,4,3,2,2,1,... so the
     # fifth-highest clears four units.
-    assert _uniform_clearing_price(table1, 0) == F(4)
+    values = value_tables(table1)
+    assert _uniform_clearing_price(table1, 0, values) == F(4)
     for j in range(0, 4):
-        p = _uniform_clearing_price(table1, j)
+        p = _uniform_clearing_price(table1, j, values)
         from uceauction.model import economy_members
 
         reports = [
@@ -274,7 +271,7 @@ def test_certification_matches_oracle_on_random_states():
                 delta=inst.delta,
             )
             expected = _oracle_failures(inst, state)
-            assert set(terminal_tables(inst, state).failures()) == expected
+            assert set(terminal_tables(inst, state, value_tables(inst)).failures()) == expected
             checked += 1
             failing += bool(expected)
     assert checked >= 1000
@@ -293,11 +290,11 @@ def test_terminal_tables_match_oracle_on_engine_states():
                 state = _state_from_record(record, inst.n, inst.delta)
                 expected = _oracle_failures(inst, state)
                 assert expected
-                assert set(terminal_tables(inst, state).failures()) == expected
+                assert set(terminal_tables(inst, state, value_tables(inst)).failures()) == expected
                 assert set(record["witness"]) == expected
                 rejected += 1
         state = out.final_state
-        tables = terminal_tables(inst, state)
+        tables = terminal_tables(inst, state, value_tables(inst))
         assert tables.failures() == {} and _oracle_failures(inst, state) == set()
         for j in range(0, inst.n + 1):
             assert tables.welfare[j] == oracle.efficient_value(inst, j)[0]
@@ -326,3 +323,47 @@ def test_refine_record_carries_certification_witness():
                 parse_rational(witness[key]) for key in ("welfare", "utility_sum", "revenue")
             )
             assert welfare < utility_sum + revenue
+
+
+def _reference_demand_markets():
+    """Criterion 3's 200 instances, 40 product-mix ones with a strong-unit
+    bias, and the 10 markets of the narrow-fine benchmark pool."""
+    yield from _criterion3_instances()
+    rng = random.Random(4242)
+    for idx in range(40):
+        direction = ("ascending", "descending")[idx % 2]
+        yield random_product_mix_instance(rng, delta_max=3, direction=direction)
+    for seed in range(5):
+        for direction in ("ascending", "descending"):
+            yield generate_product_mix(
+                seed=seed, n=4, K=12, epsilon=F(1, 100), value_steps_max=150,
+                direction=direction,
+            )
+
+
+def _run_all_engines(inst):
+    return [engine(inst) for engine in (run_uce_auction, run_linear_auction, run_parallel_auction)]
+
+
+def test_engines_unchanged_under_the_enumeration_reference(monkeypatch):
+    """Every engine gives the same outcome and the same trace records when
+    its demand queries go to the bundle-enumeration reference instead."""
+    markets = list(_reference_demand_markets())
+    fast = [_run_all_engines(inst) for inst in markets]
+    monkeypatch.setattr(
+        auction, "demand_set",
+        lambda v, state, i, values=None: oracle.demand_set_by_enumeration(v, state, i),
+    )
+    monkeypatch.setattr(
+        auction, "demand_at_linear_price",
+        lambda v, i, p, delta, values=None: oracle.demand_at_linear_price_by_enumeration(
+            v, i, p, delta
+        ),
+    )
+    biased = 0
+    for inst, runs in zip(markets, fast):
+        for (out, trace), (ref_out, ref_trace) in zip(runs, _run_all_engines(inst)):
+            assert out == ref_out
+            assert trace.records == ref_trace.records
+        biased += inst.delta > 0
+    assert biased > 10

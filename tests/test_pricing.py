@@ -1,14 +1,13 @@
 from fractions import Fraction
 
-from uceauction.model import Bundle
+from uceauction.model import Bundle, visible_economies
 from uceauction.pricing import (
     apply_over_demand_update,
     apply_under_demand_update,
     envelope_argmin,
+    envelope_price_by_size,
     initial_state,
     line_price,
-    normalize,
-    normalize_all,
     rho,
     rho_adjusted,
     state_to_dict,
@@ -20,7 +19,6 @@ F = Fraction
 
 def test_initial_state_shape():
     s = initial_state(3, F(0))
-    assert s.dimension() == 3 * 3 + 3 + 1
     assert s.p == (F(0),) * 4
     assert all(v == 0 for v in s.alpha.values())
     assert (1, 1) not in s.alpha
@@ -72,29 +70,23 @@ def test_under_demand_update_is_the_mirror():
     assert down.alpha == s.alpha
 
 
-def test_normalize_zeroes_cheapest_offset():
-    s = initial_state(2, F(0))
-    s = s.replace(alpha={(1, 0): F(3), (1, 2): F(5), (2, 0): F(0), (2, 1): F(2)})
-    t, shift = normalize(s, 1)
-    assert shift == F(3)
-    assert min(t.alpha[(1, j)] for j in (0, 2)) == 0
-    assert t.alpha[(2, 0)] == F(0)
-    t2, shifts = normalize_all(s)
-    assert shifts == {1: F(3), 2: F(0)}
-    assert min(t2.alpha[(2, j)] for j in (0, 1)) == 0
-    # The zero bundle is free after normalization.
-    assert rho(t2, 1, Bundle(0, 0)) == 0
-
-
 def test_dual_objective_at_table1_terminal(table1):
     """The normalized terminal state of the worked example attains the known
-    optimum 91; normalization itself never changes quoted price differences."""
+    optimum 91; normalization itself never changes quoted price differences.
+    Normalizing an agent shifts its offsets down by their minimum, so the
+    zero bundle costs it nothing."""
     from uceauction.auction import run_uce_auction
 
     out, _ = run_uce_auction(table1)
     s = out.final_state
     assert s.p == (F(4), F(1), F(2), F(3))
-    normalized, _ = normalize_all(s)
+    alpha = dict(s.alpha)
+    for i in (1, 2, 3):
+        shift = min(s.alpha[(i, j)] for j in visible_economies(i, 3))
+        for j in visible_economies(i, 3):
+            alpha[(i, j)] -= shift
+    normalized = s.replace(alpha=alpha)
+    assert all(rho(normalized, i, Bundle(0, 0)) == 0 for i in (1, 2, 3))
     assert uce_dual_objective(table1, normalized) == F(91)
     for i in (1, 2, 3):
         for k in table1.valuation(i).bundles():
@@ -110,3 +102,26 @@ def test_state_serialization_round_trip():
     # Row of agent i has a null at its own marginal economy.
     assert doc["alpha"][0][1] is None
     assert doc["alpha"][1][2] is None
+
+
+def test_envelope_price_by_size_is_the_adjusted_envelope():
+    s = initial_state(2, F(0), delta=F(1))
+    s = s.replace(p=(F(3), F(5), F(1)), alpha={
+        (1, 0): F(0), (1, 2): F(4),
+        (2, 0): F(1), (2, 1): F(0),
+    })
+    for i in (1, 2):
+        prices = envelope_price_by_size(s, i, 6)
+        for k in (Bundle(kw, ks) for kw in range(7) for ks in range(7 - kw)):
+            assert prices[k.size] == rho_adjusted(s, i, k)
+            assert prices[k.size] + s.delta * k.ks == rho(s, i, k)
+
+
+def test_update_leaves_the_old_state_untouched():
+    s = initial_state(2, F(0))
+    t = apply_over_demand_update(s, 0, {1: 2, 2: 1}, F(1))
+    u = apply_under_demand_update(t, 2, {1: 1, 2: 1}, F(1))
+    assert t.alpha is not s.alpha and u.alpha is not t.alpha
+    assert all(v == 0 for v in s.alpha.values()) and s.p == (F(0),) * 3
+    assert t.alpha[(1, 2)] == F(2) and u.alpha[(1, 2)] == F(2)
+    assert u.alpha[(1, 0)] == F(-1) and u.p == (F(1), F(0), F(-1))
