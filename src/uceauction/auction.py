@@ -90,15 +90,15 @@ def _dual_objective_from_reports(instance, state, reports) -> Fraction:
     utilities up by m_i, so the normalized objective equals the raw sum with
     pi taken as the (possibly negative) raw max utility, unclamped.  After
     normalization the zero bundle costs 0, so pi >= 0 holds automatically.
+    Every agent belongs to exactly n of the n+1 economies, so its utility
+    enters n times.
     """
-    n = instance.n
-    total = ZERO
-    for j in range(0, n + 1):
-        members = economy_members(j, n)
-        total += sum((reports[i].max_utility for i in members), ZERO)
-        total += instance.K * state.p[j]
-        total += sum((state.alpha[(i, j)] for i in members), ZERO)
-    return total
+    utilities = sum((report.max_utility for report in reports.values()), ZERO)
+    return (
+        instance.n * utilities
+        + instance.K * sum(state.p, ZERO)
+        + sum(state.alpha.values(), ZERO)
+    )
 
 
 def _settled(diag: str, price: Fraction) -> bool:
@@ -136,8 +136,9 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
     (certification, allocation + payments) or applies price updates.
     update_mode "single" updates one imbalanced economy per round (lowest
     index, over-demand first); "batch" updates all over-demanded economies
-    (or, if none, all under-demanded ones), composing the offset increments
-    additively.
+    (or, if none, all under-demanded ones).  Either way a round is one price
+    step, applied by one update call that composes the economies' offset
+    increments in a single pass.
     """
     n = instance.n
     values = value_tables(instance)
@@ -223,20 +224,18 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
             for j in range(0, n + 1)
             if diagnosis[j] == UNDER_DEMAND and state.p[j] > 0
         ]
+        # Over-demand updates take the round; under-demand waits, keeping
+        # each round a pure ascent or descent step.
+        kind, targets = (OVER_DEMAND, over) if over else (UNDER_DEMAND, under)
         if instance.update_mode == "single":
-            targets = [(over[0], OVER_DEMAND)] if over else [(under[0], UNDER_DEMAND)]
+            targets = targets[:1]
+        if kind == OVER_DEMAND:
+            kappa = {i: reports[i].kappa_min for i in range(1, n + 1)}
+            state = apply_over_demand_update(state, targets, kappa, instance.epsilon)
         else:
-            # Over-demand updates take the round; under-demand waits, keeping
-            # each round a pure ascent or descent step.
-            targets = [(j, OVER_DEMAND) for j in over] or [(j, UNDER_DEMAND) for j in under]
-        kappa_min = {i: reports[i].kappa_min for i in range(1, n + 1)}
-        kappa_max = {i: reports[i].kappa_max for i in range(1, n + 1)}
-        for j, kind in targets:
-            if kind == OVER_DEMAND:
-                state = apply_over_demand_update(state, j, kappa_min, instance.epsilon)
-            else:
-                state = apply_under_demand_update(state, j, kappa_max, instance.epsilon)
-            record["updates"].append({"economy": j, "direction": kind})
+            kappa = {i: reports[i].kappa_max for i in range(1, n + 1)}
+            state = apply_under_demand_update(state, targets, kappa, instance.epsilon)
+        record["updates"].extend({"economy": j, "direction": kind} for j in targets)
 
     raise RoundLimitExceeded("no termination within %d rounds" % cap, trace)
 

@@ -29,6 +29,8 @@ def parse_rational(text) -> Fraction:
     """Parse "p/q", a decimal string, or an int into an exact Fraction."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise InstanceValidationError("not an exact rational: %r" % (text,))
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
@@ -49,6 +51,8 @@ def _integer(value, label: str) -> int:
 
 
 def format_rational(value: Fraction) -> str:
+    if type(value) is Fraction:  # already canonical; skip the rebuild
+        return str(value)
     return str(Fraction(value))
 
 

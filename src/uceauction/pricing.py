@@ -3,8 +3,10 @@
 The quoted price of a bundle to agent i is the minimum, over every economy
 that agent i participates in, of an affine line: kw*p + ks*(p+delta) + alpha.
 Price updates follow the closed-form improving direction of the primal-dual
-method (unit price of one economy moves by epsilon, every other economy's
-offsets move by epsilon times the agent's reported kappa).
+method: each updated economy's unit price moves by epsilon, and every other
+economy's offsets move by epsilon times the agent's reported kappa.  One call
+applies a whole round's step, all its economies at once, in a single pass over
+the offsets.
 """
 from __future__ import annotations
 
@@ -93,32 +95,40 @@ def envelope_argmin(state: EnvelopePriceState, i: int, k: Bundle) -> tuple:
 
 
 def apply_over_demand_update(
-    state: EnvelopePriceState, j: int, kappa_min: dict, epsilon: Fraction
+    state: EnvelopePriceState, economies, kappa_min: dict, epsilon: Fraction
 ) -> EnvelopePriceState:
-    """Raise economy j's unit price by epsilon; for every other economy, raise
-    each member agent's offset by epsilon * kappa_min[i]."""
-    return _apply_update(state, j, kappa_min, Fraction(epsilon))
+    """One ascent step on the given economies: raise each one's unit price by
+    epsilon, and raise each agent's offset on economy l by
+    epsilon * kappa_min[i] for every updated economy other than l."""
+    return _apply_step(state, economies, kappa_min, Fraction(epsilon))
 
 
 def apply_under_demand_update(
-    state: EnvelopePriceState, j: int, kappa_max: dict, epsilon: Fraction
+    state: EnvelopePriceState, economies, kappa_max: dict, epsilon: Fraction
 ) -> EnvelopePriceState:
     """Mirror of the over-demand update with signs flipped (kappa_max driven)."""
-    return _apply_update(state, j, kappa_max, -Fraction(epsilon))
+    return _apply_step(state, economies, kappa_max, -Fraction(epsilon))
 
 
-def _apply_update(state, j, kappa, step):
+def _apply_step(state, economies, kappa, step):
+    """The m distinct economies' updates in one pass: offset (i, l) gains
+    (m - [l updated]) * step * kappa[i], which is exactly what applying the
+    single-economy updates one after another adds up to."""
     p = list(state.p)
-    p[j] += step
-    shift = {i: step * kappa[i] for i in range(1, state.n + 1)}
+    for j in economies:
+        p[j] += step
+    updated = set(economies)
+    m = len(updated)
     alpha = dict(state.alpha)
-    for ell in range(0, state.n + 1):
-        if ell == j:
+    for i in range(1, state.n + 1):
+        if not kappa[i]:
             continue
-        for i in economy_members(ell, state.n):
-            alpha[(i, ell)] += shift[i]
-    # alpha is already a private copy, so build the state directly rather
-    # than through replace(), which would copy it again.
+        shift = step * kappa[i]
+        full, partial = m * shift, (m - 1) * shift
+        for ell in visible_economies(i, state.n):
+            increment = partial if ell in updated else full
+            if increment:
+                alpha[(i, ell)] += increment
     return EnvelopePriceState(n=state.n, p=tuple(p), alpha=alpha, delta=state.delta)
 
 

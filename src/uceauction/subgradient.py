@@ -33,25 +33,30 @@ class SubgradientRun:
 
 
 def _lex_argmax(candidates):
-    """Maximize by value; break ties on lexicographically smallest (kw, ks).
+    """(best value, bundle): maximize by value, breaking ties on the
+    lexicographically smallest (kw, ks).
 
-    Returns None when the best value is negative: the relaxed problem then
-    sets the whole selection block to zero, and picking a bundle anyway would
-    not be a valid subgradient.
+    The bundle is None when the best value is negative: the relaxed problem
+    then sets the whole selection block to zero, and picking a bundle anyway
+    would not be a valid subgradient.
     """
     best_value = max(v for _, v in candidates)
     if best_value < 0:
-        return None
-    return min(k for k, v in candidates if v == best_value)
+        return best_value, None
+    return best_value, min(k for k, v in candidates if v == best_value)
 
 
-def _recompute_alpha(instance, rho, p):
-    alpha = {}
-    for i in range(1, instance.n + 1):
-        bundles = list(instance.valuation(i).bundles())
-        for j in visible_economies(i, instance.n):
-            alpha[(i, j)] = max(rho[(i, k)] - k.size * p[j] for k in bundles)
-    return alpha
+def _seller_side(n, values, rho, p):
+    """alpha[(i, j)], the best seller-side margin of agent i's prices on
+    economy j, and the seller-side pick[(j, i)] attaining it, from one
+    candidate list per (agent, visible economy)."""
+    alpha, pick = {}, {}
+    for i in range(1, n + 1):
+        for j in visible_economies(i, n):
+            alpha[(i, j)], pick[(j, i)] = _lex_argmax(
+                [(k, rho[(i, k)] - k.size * p[j]) for k, _ in values[i]]
+            )
+    return alpha, pick
 
 
 def _dual_objective(instance, values, rho, p, alpha):
@@ -103,21 +108,17 @@ def run_subgradient(
         for i in range(1, n + 1)
     }
     run = SubgradientRun()
-    alpha = _recompute_alpha(instance, rho, p) if iterations < 1 else None
+    # Seller-side selection per (economy, agent), from prices alone; alpha
+    # comes from the same candidate lists, so both are built once per
+    # iteration, at the prices the next iteration starts from.
+    alpha, beta_pick = _seller_side(n, values, rho, p)
 
     for it in range(1, iterations + 1):
         # Agent-side selection: one demanded bundle per agent, reused for
         # every economy the agent participates in.
         z_pick = {}
         for i in range(1, n + 1):
-            z_pick[i] = _lex_argmax([(k, value - rho[(i, k)]) for k, value in values[i]])
-        # Seller-side selection per (economy, agent), from prices alone.
-        beta_pick = {}
-        for j in range(0, n + 1):
-            for i in economy_members(j, n):
-                beta_pick[(j, i)] = _lex_argmax(
-                    [(k, rho[(i, k)] - k.size * p[j]) for k, _ in values[i]]
-                )
+            _, z_pick[i] = _lex_argmax([(k, value - rho[(i, k)]) for k, value in values[i]])
 
         max_component = ZERO
         new_p = list(p)
@@ -146,7 +147,7 @@ def run_subgradient(
                     new_rho[(i, k)] = rho[(i, k)] + step * grad
         rho, p = new_rho, new_p
 
-        alpha = _recompute_alpha(instance, rho, p)
+        alpha, beta_pick = _seller_side(n, values, rho, p)
         objective = _dual_objective(instance, values, rho, p, alpha)
         if run.best_objective is None or objective < run.best_objective:
             run.best_objective = objective

@@ -22,8 +22,8 @@ from uceauction.generate import (
     random_multi_unit_instance,
     random_product_mix_instance,
 )
-from uceauction.model import Bundle, Instance, ZERO_BUNDLE, parse_rational
-from uceauction.pricing import EnvelopePriceState, rho_adjusted
+from uceauction.model import Bundle, Instance, ZERO_BUNDLE, parse_rational, visible_economies
+from uceauction.pricing import EnvelopePriceState, rho_adjusted, uce_dual_objective
 
 F = Fraction
 
@@ -63,6 +63,33 @@ def test_single_dual_objective_strictly_descends(table1_single):
     objectives = [parse_rational(r["dual_objective"]) for r in trace.records]
     assert all(b < a for a, b in zip(objectives, objectives[1:]))
     assert objectives[0] == F(114)
+
+
+def test_one_update_call_per_round(table1, table1_single, monkeypatch):
+    """A round is one price step: one update call, covering every economy
+    the round records an update for."""
+    calls = []
+    for name in ("apply_over_demand_update", "apply_under_demand_update"):
+        update = getattr(auction, name)
+        monkeypatch.setattr(
+            auction, name,
+            lambda state, economies, *rest, _update=update: (
+                calls.append(list(economies)) or _update(state, economies, *rest)
+            ),
+        )
+    down = Instance(agents=table1.agents, K=4, p_init=F(9), direction="descending")
+    for inst in (table1, table1_single, down):
+        calls.clear()
+        _, trace = run_uce_auction(inst)
+        stepped = [
+            [u["economy"] for u in record["updates"]]
+            for record in trace.records
+            if record["updates"] and record["updates"][0]["direction"] != "refine"
+        ]
+        assert calls == stepped
+        if inst is table1:
+            # The worked example's batch rounds update several economies each.
+            assert len(calls) == 4 and sum(map(len, calls)) > len(calls)
 
 
 def test_query_accounting(table1):
@@ -303,6 +330,43 @@ def test_terminal_tables_match_oracle_on_engine_states():
         )
         assert out.payments == expected
     assert rejected > 0
+
+
+def _normalized(state):
+    """Each agent's offsets shifted down by their minimum: the zero bundle
+    then costs nothing."""
+    alpha = dict(state.alpha)
+    for i in range(1, state.n + 1):
+        shift = min(state.alpha[(i, j)] for j in visible_economies(i, state.n))
+        for j in visible_economies(i, state.n):
+            alpha[(i, j)] -= shift
+    return state.replace(alpha=alpha)
+
+
+def test_record_dual_objective_is_the_pricing_dual_objective():
+    """Every round record's dual objective is pricing.uce_dual_objective at
+    the record's state, normalized; refine rounds included."""
+    # Criterion 7's family with three units per bidder, in single mode: half
+    # of these runs take a refine step.
+    criterion7 = [
+        generate_product_mix(
+            seed=seed, n=12, K=12, epsilon=F(1, 10), value_steps_max=14, gamma_max=3,
+            update_mode="single",
+        )
+        for seed in range(12)
+    ]
+    for markets in (list(_criterion3_instances()), criterion7):
+        records = refines = 0
+        for inst in markets:
+            _, trace = run_uce_auction(inst)
+            for record in trace.records:
+                state = _state_from_record(record, inst.n, inst.delta)
+                assert uce_dual_objective(inst, _normalized(state)) == parse_rational(
+                    record["dual_objective"]
+                )
+                records += 1
+                refines += "witness" in record
+        assert records > 100 and refines >= 5
 
 
 def test_refine_record_carries_certification_witness():

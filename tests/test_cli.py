@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uceauction.cli import main
 from uceauction.model import dump_instance, instance_to_dict, load_instance
@@ -278,6 +282,7 @@ def _doc(**changes):
     [
         _doc(delta="abc"),
         _doc(epsilon="1/0"),
+        _doc(delta=True),
         _doc(K=2.7),
         _doc(K=True),
         _doc(gamma=2.7),
@@ -287,9 +292,9 @@ def _doc(**changes):
         _doc()[:-5],
     ],
     ids=[
-        "rational-not-a-number", "rational-zero-denominator", "K-fractional", "K-boolean",
-        "gamma-fractional", "gamma-boolean", "agents-not-a-list", "top-level-list",
-        "malformed-json",
+        "rational-not-a-number", "rational-zero-denominator", "rational-boolean",
+        "K-fractional", "K-boolean", "gamma-fractional", "gamma-boolean",
+        "agents-not-a-list", "top-level-list", "malformed-json",
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, text):
@@ -298,3 +303,79 @@ def test_malformed_instance_exits_2(tmp_path, capsys, text):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid instance:") and err.count("\n") == 1
+
+
+# Fuzzed instance documents: a small valid instance in which any top-level
+# field, any agent field and any whole agent may be dropped or replaced by a
+# small JSON value or a malformed rational; now and then a document that is
+# no instance at all.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-5, 5) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Scalars of the wrong type are weighted over nested values.
+_JUNK = st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-5, 5) | _JSON | st.sampled_from(
+    ["1/0", "abc", "", "nan", "inf", "-1", "2.5", "1e2", "1/3"]
+)
+_AGENT = st.lists(st.integers(0, 9), max_size=4).map(
+    lambda marginals: {
+        "type": "multi_unit",
+        "marginals": [str(m) for m in sorted(marginals, reverse=True)],
+    }
+) | st.builds(
+    lambda v_w, gap, gamma: {
+        "type": "product_mix", "v_w": str(v_w), "v_s": str(v_w + gap), "gamma": gamma,
+    },
+    st.integers(0, 9), st.integers(1, 9), st.integers(0, 4),
+)
+_VALID = st.fixed_dictionaries(
+    {"K": st.integers(1, 6), "agents": st.lists(_AGENT, min_size=1, max_size=3)},
+    optional={
+        "delta": st.sampled_from(["0", "1"]),
+        "epsilon": st.sampled_from(["1", "1/2"]),
+        "p_init": st.sampled_from(["0", "2", "10"]),
+        "direction": st.sampled_from(["ascending", "descending"]),
+        "update_mode": st.sampled_from(["batch", "single"]),
+    },
+)
+_TOP_FIELDS = ("K", "agents", "delta", "epsilon", "p_init", "direction", "update_mode")
+_AGENT_FIELDS = ("type", "marginals", "v_w", "v_s", "gamma")
+
+
+def _corrupt(draw, container, keys):
+    """Drop, or replace by junk, each of these entries with chance 1/30 each."""
+    for key in keys:
+        roll = draw(st.integers(0, 29))
+        if roll == 0 and isinstance(container, dict):
+            container.pop(key, None)
+        elif roll <= 1:
+            container[key] = draw(_JUNK)
+
+
+@st.composite
+def _documents(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    doc = draw(_VALID)
+    for agent in doc["agents"]:
+        _corrupt(draw, agent, _AGENT_FIELDS)
+    _corrupt(draw, doc["agents"], range(len(doc["agents"])))
+    _corrupt(draw, doc, _TOP_FIELDS)
+    return doc
+
+
+@given(_documents())
+@settings(
+    max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_fuzzed_instances_exit_0_2_or_3(document):
+    """Whatever JSON document it is given, `run` ends with a documented exit
+    code, never with an exception."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "instance.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", path, "--round-cap", "50"])
+    assert code in (0, 2, 3)

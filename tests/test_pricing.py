@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
-from uceauction.model import Bundle, visible_economies
+from uceauction.model import Bundle, economy_members, visible_economies
 from uceauction.pricing import (
+    EnvelopePriceState,
     apply_over_demand_update,
     apply_under_demand_update,
     envelope_argmin,
@@ -51,7 +53,7 @@ def test_delta_raises_strong_unit_quote_only():
 def test_over_demand_update_moves_one_line():
     s = initial_state(2, F(0))
     kappa = {1: 2, 2: 1}
-    t = apply_over_demand_update(s, 0, kappa, F(1))
+    t = apply_over_demand_update(s, [0], kappa, F(1))
     assert t.p == (F(1), F(0), F(0))
     # Offsets shift on every other line so quotes through them keep pace.
     assert t.alpha[(1, 2)] == F(2)
@@ -64,8 +66,8 @@ def test_over_demand_update_moves_one_line():
 def test_under_demand_update_is_the_mirror():
     s = initial_state(2, F(3))
     kappa = {1: 2, 2: 1}
-    up = apply_over_demand_update(s, 1, kappa, F(1))
-    down = apply_under_demand_update(up, 1, kappa, F(1))
+    up = apply_over_demand_update(s, [1], kappa, F(1))
+    down = apply_under_demand_update(up, [1], kappa, F(1))
     assert down.p == s.p
     assert down.alpha == s.alpha
 
@@ -96,7 +98,7 @@ def test_dual_objective_at_table1_terminal(table1):
 
 def test_state_serialization_round_trip():
     s = initial_state(2, F(1))
-    s = apply_over_demand_update(s, 0, {1: 1, 2: 1}, F(1))
+    s = apply_over_demand_update(s, [0], {1: 1, 2: 1}, F(1))
     doc = state_to_dict(s)
     assert doc["p"] == ["2", "1", "1"]
     # Row of agent i has a null at its own marginal economy.
@@ -119,9 +121,65 @@ def test_envelope_price_by_size_is_the_adjusted_envelope():
 
 def test_update_leaves_the_old_state_untouched():
     s = initial_state(2, F(0))
-    t = apply_over_demand_update(s, 0, {1: 2, 2: 1}, F(1))
-    u = apply_under_demand_update(t, 2, {1: 1, 2: 1}, F(1))
+    t = apply_over_demand_update(s, [0], {1: 2, 2: 1}, F(1))
+    u = apply_under_demand_update(t, [2], {1: 1, 2: 1}, F(1))
     assert t.alpha is not s.alpha and u.alpha is not t.alpha
     assert all(v == 0 for v in s.alpha.values()) and s.p == (F(0),) * 3
     assert t.alpha[(1, 2)] == F(2) and u.alpha[(1, 2)] == F(2)
     assert u.alpha[(1, 0)] == F(-1) and u.p == (F(1), F(0), F(-1))
+
+
+def _one_economy_update(state, j, kappa, step):
+    """The single-economy step as the primal-dual method states it: p[j]
+    moves by step, and on every other economy each member's offset moves by
+    step * kappa[i]."""
+    p = list(state.p)
+    p[j] += step
+    alpha = dict(state.alpha)
+    for ell in range(0, state.n + 1):
+        if ell != j:
+            for i in economy_members(ell, state.n):
+                alpha[(i, ell)] += step * kappa[i]
+    return state.replace(p=p, alpha=alpha)
+
+
+def test_one_call_equals_the_sequential_single_economy_updates():
+    """Updating m economies in one call gives exactly the state of m
+    single-economy updates in a row, offsets in the same key order."""
+    rng = random.Random(2026)
+    zero_kappa = own_marginal = 0
+    for n in range(1, 6):
+        for m in range(1, n + 2):
+            for _ in range(8):
+                state = EnvelopePriceState(
+                    n=n,
+                    p=tuple(F(rng.randint(0, 40), rng.randint(1, 4)) for _ in range(n + 1)),
+                    alpha={
+                        (i, j): F(rng.randint(-20, 20), rng.randint(1, 6))
+                        for i in range(1, n + 1)
+                        for j in visible_economies(i, n)
+                    },
+                    delta=F(rng.randint(0, 2)),
+                )
+                kappa = {i: rng.choice((0, rng.randint(1, 6))) for i in range(1, n + 1)}
+                targets = rng.sample(range(n + 1), m)
+                epsilon = F(1, rng.choice((1, 2, 10, 100)))
+                zero_kappa += 0 in kappa.values()
+                own_marginal += any(j >= 1 for j in targets)
+                for update, step in (
+                    (apply_over_demand_update, epsilon),
+                    (apply_under_demand_update, -epsilon),
+                ):
+                    one = update(state, targets, kappa, epsilon)
+                    chained = reference = state
+                    for j in targets:
+                        chained = update(chained, [j], kappa, epsilon)
+                        reference = _one_economy_update(reference, j, kappa, step)
+                    assert one.p == chained.p == reference.p
+                    assert (
+                        list(one.alpha.items())
+                        == list(chained.alpha.items())
+                        == list(reference.alpha.items())
+                    )
+                    assert one.delta == state.delta
+    assert zero_kappa > 20 and own_marginal > 100
