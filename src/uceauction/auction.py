@@ -17,7 +17,7 @@ from .demand import (
     demand_at_linear_price,
     demand_set,
     diagnose,
-    kappa_sums,
+    economy_kappa_sums,
 )
 from .model import (
     Instance,
@@ -30,9 +30,9 @@ from .pricing import (
     EnvelopePriceState,
     apply_over_demand_update,
     apply_under_demand_update,
+    dual_objective,
     envelope_price_by_size,
     initial_state,
-    uce_dual_objective,
 )
 
 ZERO = Fraction(0)
@@ -82,28 +82,12 @@ def default_round_cap(instance: Instance, values: dict) -> int:
     return (instance.n + 1) * instance.K * (int(steps) + 1) + 16
 
 
-def _dual_objective_from_reports(instance, state, reports) -> Fraction:
-    """UCE dual objective of the normalized state, with pi at its minimal
-    feasible level.
+def settled(diag: str, price: Fraction) -> bool:
+    """Whether an economy with this diagnosis takes no step at this unit price.
 
-    Normalizing agent i shifts its offsets down by m_i = min_j alpha and its
-    utilities up by m_i, so the normalized objective equals the raw sum with
-    pi taken as the (possibly negative) raw max utility, unclamped.  After
-    normalization the zero bundle costs 0, so pi >= 0 holds automatically.
-    Every agent belongs to exactly n of the n+1 economies, so its utility
-    enters n times.
+    Under-demand at a zero unit price is a valid resting point: the price
+    cannot descend further without leaving the dual's feasible region.
     """
-    utilities = sum((report.max_utility for report in reports.values()), ZERO)
-    return (
-        instance.n * utilities
-        + instance.K * sum(state.p, ZERO)
-        + sum(state.alpha.values(), ZERO)
-    )
-
-
-def _settled(diag: str, price: Fraction) -> bool:
-    # Under-demand at a zero unit price is a valid resting point: the price
-    # cannot descend further without leaving the dual's feasible region.
     return diag == BALANCED or (diag == UNDER_DEMAND and price == 0)
 
 
@@ -157,9 +141,10 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
             for i in range(1, n + 1)
         }
         queries += n
-        diagnosis = {j: diagnose(reports, instance.K, j, n) for j in range(0, n + 1)}
+        sums = economy_kappa_sums(reports)
+        diagnosis = {j: diagnose(low, high, instance.K) for j, (low, high) in sums.items()}
         for j in range(0, n + 1):
-            if _settled(diagnosis[j], state.p[j]):
+            if settled(diagnosis[j], state.p[j]):
                 if j not in settled_now:
                     cleared_round[j] = rounds
                     settled_now.add(j)
@@ -173,16 +158,21 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
                 "%d,%d" % key: format_rational(val) for key, val in sorted(state.alpha.items())
             },
             "reports": _report_row(reports),
-            "kappa_sums": {j: kappa_sums(reports, j, n) for j in range(0, n + 1)},
-            "diagnosis": dict(diagnosis),
-            "dual_objective": format_rational(
-                _dual_objective_from_reports(instance, state, reports)
-            ),
+            "kappa_sums": sums,
+            "diagnosis": diagnosis,
+            # The objective of the normalized state.  Normalizing agent i
+            # shifts its offsets down by min_j alpha[(i, j)] and its utility
+            # up by as much, so it is the raw sum with pi at the raw max
+            # utility, unclamped; after normalization the zero bundle costs
+            # 0, so that pi is feasible.
+            "dual_objective": format_rational(dual_objective(
+                instance.K, [r.max_utility for r in reports.values()], state.p, state.alpha.values()
+            )),
             "updates": [],
         }
         trace.records.append(record)
 
-        if all(_settled(diagnosis[j], state.p[j]) for j in range(0, n + 1)):
+        if all(settled(diagnosis[j], state.p[j]) for j in range(0, n + 1)):
             tables = terminal_tables(instance, state, values)
             witness = tables.failures()
             if witness:
@@ -194,7 +184,7 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
                     j: {key: format_rational(q) for key, q in w.items()}
                     for j, w in witness.items()
                 }
-                refined = _refine_state(instance, state, values)
+                refined = _refine_state(instance, state, values, reports)
                 if refined is None:
                     raise NotUniversal(
                         "final prices fail CE certification and no"
@@ -261,7 +251,7 @@ def _uniform_clearing_price(instance, economy, values):
     return max(pool[instance.K], ZERO)
 
 
-def _refine_state(instance, state, values):
+def _refine_state(instance, state, values, reports):
     """Exact repair step for a state every balance test accepts but that
     supports no competitive equilibrium in some economy.
 
@@ -279,10 +269,15 @@ def _refine_state(instance, state, values):
     envelope, and the objective telescopes to the sum of the per-economy
     optima, so the state is optimal.  Returns the new state, or None when the
     current state already achieves that value.
+
+    reports are the demand reports at the current state; both objectives
+    take pi at its minimal feasible level, max(u_i, 0).  At the new state
+    agent i is indifferent across its lines, so its utility there is floor,
+    which is never negative: the empty bundle is worth 0 at any price.
     """
     n = instance.n
     p = [_uniform_clearing_price(instance, j, values) for j in range(0, n + 1)]
-    alpha = {}
+    alpha, floors = {}, []
     for i in range(1, n + 1):
         utility = {
             j: max(value - size * p[j] for size, value in enumerate(values[i]))
@@ -290,12 +285,14 @@ def _refine_state(instance, state, values):
             if j != i
         }
         floor = min(utility.values())
+        floors.append(floor)
         for j, u in utility.items():
             alpha[(i, j)] = u - floor
-    refined = state.replace(p=tuple(p), alpha=alpha)
-    if uce_dual_objective(instance, refined) >= uce_dual_objective(instance, state):
+    pi = [max(r.max_utility, ZERO) for r in reports.values()]
+    current = dual_objective(instance.K, pi, state.p, state.alpha.values())
+    if dual_objective(instance.K, floors, p, alpha.values()) >= current:
         return None
-    return refined
+    return state.replace(p=tuple(p), alpha=alpha)
 
 
 def _representatives(report, i, value_fn):
@@ -456,12 +453,7 @@ def _run_linear(instance, members, round_cap, values):
         }
         low = sum(r.kappa_min for r in reports.values())
         high = sum(r.kappa_max for r in reports.values())
-        if low > instance.K:
-            diag = OVER_DEMAND
-        elif high < instance.K:
-            diag = UNDER_DEMAND
-        else:
-            diag = BALANCED
+        diag = diagnose(low, high, instance.K)
         rows.append(
             {
                 "round": rounds,
@@ -471,7 +463,7 @@ def _run_linear(instance, members, round_cap, values):
                 "diagnosis": diag,
             }
         )
-        if _settled(diag, p):
+        if settled(diag, p):
             allocation = final_allocation(reports, instance.K, instance.adjusted_value)
             return {
                 "allocation": allocation,

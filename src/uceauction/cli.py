@@ -10,7 +10,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import io
+import itertools
 import json
 import os
 import random
@@ -38,6 +38,10 @@ EXIT_INVARIANT = 3
 
 ENGINES = ("uce", "linear", "parallel", "subgradient")
 BUILDS = ("ce-primal", "ce-dual", "uce-primal", "uce-dual", "restricted-dual", "general-uce")
+
+
+class OptionError(ValueError):
+    """An option value outside the range its instance allows (exit 2)."""
 
 
 def instance_digest(inst: Instance) -> str:
@@ -98,86 +102,56 @@ def _format_payments(payments, n: int) -> str:
     )
 
 
-def _uce_trace_csv(trace, n: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["round", "economy", "p", "sum_kappa_min", "sum_kappa_max", "diagnosis", "action"]
-    )
+TRACE_CSV_HEADER = (
+    "round", "economy", "p", "sum_kappa_min", "sum_kappa_max", "diagnosis", "action",
+)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _uce_csv_rows(trace):
     for record in trace.records:
         updated = {u["economy"]: u["direction"] for u in record["updates"]}
-        for j in range(0, n + 1):
-            low, high = record["kappa_sums"][j]
-            writer.writerow(
-                [
-                    record["round"],
-                    j,
-                    record["p"][j],
-                    low,
-                    high,
-                    record["diagnosis"][j],
-                    updated.get(j, ""),
-                ]
-            )
-    return buf.getvalue()
+        for j, (low, high) in record["kappa_sums"].items():
+            yield (record["round"], j, record["p"][j], low, high, record["diagnosis"][j],
+                   updated.get(j, ""))
 
 
-def _linear_trace_csv(trace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["round", "economy", "p", "sum_kappa_min", "sum_kappa_max", "diagnosis", "action"]
-    )
+def _clock_csv_row(round_, economy, row):
+    """A uniform-price clock's row; its step after the round is its
+    diagnosis, unless the clock settled there."""
+    diag = row["diagnosis"]
+    action = "" if auction.settled(diag, parse_rational(row["p"])) else diag
+    return (round_, economy, row["p"], row["sum_kappa_min"], row["sum_kappa_max"], diag, action)
+
+
+def _linear_csv_rows(trace):
     for row in trace.records:
-        action = "" if row["diagnosis"] == "balanced" else row["diagnosis"]
-        writer.writerow(
-            [
-                row["round"],
-                row.get("economy", 0),
-                row["p"],
-                row["sum_kappa_min"],
-                row["sum_kappa_max"],
-                row["diagnosis"],
-                action,
-            ]
-        )
-    return buf.getvalue()
+        yield _clock_csv_row(row["round"], row["economy"], row)
 
 
-def _parallel_trace_csv(trace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["round", "economy", "p", "sum_kappa_min", "sum_kappa_max", "diagnosis", "action"]
-    )
+def _parallel_csv_rows(trace):
     for record in trace.records:
         for j in sorted(record["economies"]):
-            row = record["economies"][j]
-            action = "" if row["diagnosis"] == "balanced" else row["diagnosis"]
-            writer.writerow(
-                [
-                    record["round"],
-                    j,
-                    row["p"],
-                    row["sum_kappa_min"],
-                    row["sum_kappa_max"],
-                    row["diagnosis"],
-                    action,
-                ]
-            )
-    return buf.getvalue()
+            yield _clock_csv_row(record["round"], j, record["economies"][j])
 
 
-def _subgradient_log_csv(run) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    header = ["iteration", "objective", "best_objective", "max_subgradient"]
-    if run.log and "gap" in run.log[0]:
-        header.append("gap")
-    writer.writerow(header)
-    for entry in run.log:
-        writer.writerow([entry[h] for h in header])
-    return buf.getvalue()
+TRACE_CSV_ROWS = {"uce": _uce_csv_rows, "linear": _linear_csv_rows, "parallel": _parallel_csv_rows}
+
+
+def _write_trace_csv(path: str, engine: str, trace) -> None:
+    """One row per (round, economy); a trace the round cap stopped, which has
+    no outcome, ends with the round-cap marker row."""
+    rows = TRACE_CSV_ROWS[engine](trace)
+    if trace.outcome is None:
+        marker = (len(trace.records), "", "", "", "", "", "round_cap")
+        rows = itertools.chain(rows, [marker])
+    _write_csv(path, TRACE_CSV_HEADER, rows)
 
 
 def _outcome_to_dict(outcome, n: int) -> dict:
@@ -236,7 +210,10 @@ def cmd_run(args) -> int:
             print("gap to LP optimum: %s"
                   % format_rational(run.best_objective - args.lp_optimum))
         if args.trace_csv:
-            _write_text(args.trace_csv, _subgradient_log_csv(run))
+            header = ["iteration", "objective", "best_objective", "max_subgradient"]
+            if args.lp_optimum is not None:
+                header.append("gap")
+            _write_csv(args.trace_csv, header, ([entry[h] for h in header] for entry in run.log))
         if args.trace_json:
             _write_json(args.trace_json, {"instance_digest": digest, "log": run.log})
         return EXIT_OK
@@ -274,17 +251,7 @@ def _write_traces(args, digest: str, n: int, trace) -> None:
     the round cap stopped; both files then end with a round-cap marker."""
     capped = trace.outcome is None
     if args.trace_csv:
-        if args.engine == "uce":
-            text = _uce_trace_csv(trace, n)
-        elif args.engine == "linear":
-            text = _linear_trace_csv(trace)
-        else:
-            text = _parallel_trace_csv(trace)
-        if capped:
-            buf = io.StringIO()
-            csv.writer(buf).writerow([len(trace.records), "", "", "", "", "", "round_cap"])
-            text += buf.getvalue()
-        _write_text(args.trace_csv, text)
+        _write_trace_csv(args.trace_csv, args.engine, trace)
     if args.trace_json:
         doc = {
             "instance_digest": digest,
@@ -438,16 +405,28 @@ def _build_program(inst, args):
         primal, dual = lp.build_general_uce_lps(lp.encode_two_item_instance(inst))
         return [primal, dual]
     # restricted-dual: reconstruct the price state at the requested round from
-    # the trace, recompute demand reports, and build the program there.
+    # the trace (the last one by default), recompute demand reports, and build
+    # the program there.
     _, trace = auction.run_uce_auction(inst)
-    record = trace.records[args.at_round - 1 if args.at_round else -1]
-    state = _state_from_record(record, inst.n, inst.delta)
+    rounds = len(trace.records)
+    at_round = rounds if args.at_round is None else args.at_round
+    if at_round > rounds:
+        raise OptionError(
+            "argument --at-round: must be at most %d, the number of rounds, got %d"
+            % (rounds, at_round)
+        )
+    state = _state_from_record(trace.records[at_round - 1], inst.n, inst.delta)
     reports = {i: demand_set(inst.valuation(i), state, i) for i in range(1, inst.n + 1)}
     return [lp.build_restricted_dual(inst, state, reports)]
 
 
 def cmd_lp(args) -> int:
     inst = load_instance(args.instance)
+    if args.economy > inst.n:
+        raise OptionError(
+            "argument --economy: must be at most %d, the number of agents, got %d"
+            % (inst.n, args.economy)
+        )
     try:
         programs = _build_program(inst, args)
     except lp.InstanceTooLarge as exc:
@@ -471,6 +450,21 @@ def cmd_lp(args) -> int:
         if result.status == "optimal":
             print("optimum %s" % format_rational(result.objective))
     return EXIT_OK
+
+
+def _bounded(convert, low, high=None):
+    """argparse type for a number option in [low, high], or at least low when
+    high is None: errors name the option."""
+
+    def parse(text):
+        value = convert(text)
+        if not (low <= value and (high is None or value <= high)):
+            bound = "at least %s" % low if high is None else "between %s and %s" % (low, high)
+            raise argparse.ArgumentTypeError("must be %s, got %s" % (bound, text))
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value" for non-numbers
+    return parse
 
 
 def _rational_option(text: str) -> Fraction:
@@ -500,10 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run uce, linear, and parallel and print one table")
     p_run.add_argument("--trace-csv", help="write the per-round trace as CSV")
     p_run.add_argument("--trace-json", help="write the full trace as JSON")
-    p_run.add_argument("--round-cap", type=int, default=None)
+    p_run.add_argument("--round-cap", type=_bounded(int, 1), default=None)
     p_run.add_argument("--step", type=_rational_option, default="1/2",
                        help="subgradient step size")
-    p_run.add_argument("--iterations", type=int, default=200)
+    p_run.add_argument("--iterations", type=_bounded(int, 1), default=200)
     p_run.add_argument("--lp-optimum", type=_rational_option, default=None,
                        help="known dual optimum for subgradient gap reporting")
     p_run.set_defaults(func=cmd_run)
@@ -511,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="batch invariant checks against oracles")
     p_verify.add_argument("--suite", choices=("lemma1", "vcg", "descent"), required=True)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--count", type=int, default=20)
+    p_verify.add_argument("--count", type=_bounded(int, 1), default=20)
     p_verify.add_argument("--family", choices=("multi_unit", "product_mix"),
                           default="multi_unit")
     p_verify.add_argument("--mode", choices=("batch", "single"), default="batch")
@@ -525,11 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--family", choices=("product_mix", "multi_unit"),
                        default="product_mix")
-    p_gen.add_argument("--agents", type=int, default=17)
-    p_gen.add_argument("--supply", type=int, default=100)
+    p_gen.add_argument("--agents", type=_bounded(int, 1), default=17)
+    p_gen.add_argument("--supply", type=_bounded(int, 1), default=100)
     p_gen.add_argument("--epsilon", type=_rational_option, default="1/100")
-    p_gen.add_argument("--strong-fraction", type=float, default=0.2)
-    p_gen.add_argument("--gamma-max", type=int, default=None)
+    p_gen.add_argument("--strong-fraction", type=_bounded(float, 0, 1), default=0.2)
+    p_gen.add_argument("--gamma-max", type=_bounded(int, 1), default=None)
     p_gen.add_argument("--delta-steps", type=int, default=0)
     p_gen.add_argument("--direction", choices=("ascending", "descending"),
                        default="ascending")
@@ -540,10 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_lp = sub.add_parser("lp", help="build, emit, and solve the linear programs")
     p_lp.add_argument("instance")
     p_lp.add_argument("--build", choices=BUILDS, required=True)
-    p_lp.add_argument("--economy", type=int, default=0)
+    p_lp.add_argument("--economy", type=_bounded(int, 0), default=0)
     p_lp.add_argument("--solve", action="store_true")
     p_lp.add_argument("--emit-lp", default=None)
-    p_lp.add_argument("--at-round", type=int, default=None,
+    p_lp.add_argument("--at-round", type=_bounded(int, 1), default=None,
                       help="restricted-dual: build at this round of the trace")
     p_lp.set_defaults(func=cmd_lp)
     return parser
@@ -556,6 +550,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InstanceValidationError as exc:
         print("invalid instance: %s" % exc, file=sys.stderr)
+        return EXIT_VALIDATION
+    except OptionError as exc:  # worded as argparse words its own errors
+        print("%s %s: error: %s" % (parser.prog, args.command, exc), file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # missing or unreadable file, a directory given as one
         print(str(exc), file=sys.stderr)

@@ -15,12 +15,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (
-    Bundle,
-    MultiUnitValuation,
-    Valuation,
-    economy_members,
-)
+from .model import Bundle, MultiUnitValuation, Valuation
 from .pricing import EnvelopePriceState, envelope_price_by_size, line_by_size
 
 log = logging.getLogger(__name__)
@@ -149,21 +144,24 @@ def demand_at_linear_price(
     return demand_from_size_tables(valuation, agent, values, prices, delta)
 
 
-def diagnose(reports: dict, K: int, j: int, n: int) -> str:
-    """Balance test for economy j given one report per agent."""
-    members = economy_members(j, n)
-    low = sum(reports[i].kappa_min for i in members)
-    high = sum(reports[i].kappa_max for i in members)
+def economy_kappa_sums(reports: dict) -> dict:
+    """(sum of kappa_min, sum of kappa_max) of every economy, in one pass:
+    economy 0 sums every report, and economy j >= 1 is that total less agent
+    j's report.  Keys are 0 followed by the agents, in the order of reports."""
+    low = sum(r.kappa_min for r in reports.values())
+    high = sum(r.kappa_max for r in reports.values())
+    sums = {0: (low, high)}
+    for i, r in reports.items():
+        sums[i] = (low - r.kappa_min, high - r.kappa_max)
+    return sums
+
+
+def diagnose(low: int, high: int, K: int) -> str:
+    """Balance test of one economy from its members' kappa sums: over-demanded
+    when even the smallest demanded sizes exceed the supply, under-demanded
+    when even the largest fall short of it."""
     if low > K:
         return OVER_DEMAND
     if high < K:
         return UNDER_DEMAND
     return BALANCED
-
-
-def kappa_sums(reports: dict, j: int, n: int):
-    members = economy_members(j, n)
-    return (
-        sum(reports[i].kappa_min for i in members),
-        sum(reports[i].kappa_max for i in members),
-    )

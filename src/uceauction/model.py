@@ -180,10 +180,6 @@ def economy_members(j: int, n: int) -> tuple:
     return tuple(i for i in range(1, n + 1) if i != j)
 
 
-def economies(n: int) -> range:
-    return range(0, n + 1)
-
-
 def visible_economies(i: int, n: int) -> tuple:
     """Economies agent i participates in (all except its own marginal economy)."""
     return tuple(j for j in range(0, n + 1) if j != i)

@@ -1,8 +1,9 @@
 """Ground-truth brute-force procedures.
 
-Demand reports by enumerating every bundle, efficient allocations and VCG
-payments straight from the definition, and competitive-equilibrium
-certification of arbitrary price states.  The allocation and certification
+Demand reports by enumerating every bundle, the UCE dual objective of a
+price state by the same enumeration, efficient allocations and VCG payments
+straight from the definition, and competitive-equilibrium certification of
+arbitrary price states.  The allocation and certification
 procedures work in the bias-adjusted economy (values net of delta per strong
 unit), which is the welfare problem the auctions solve; the demand references
 take quoted prices, bias included, as the engines' demand oracle does.  These
@@ -22,7 +23,7 @@ from .model import (
     ZERO_BUNDLE,
     economy_members,
 )
-from .pricing import rho
+from .pricing import rho, rho_adjusted
 
 ZERO = Fraction(0)
 
@@ -52,6 +53,31 @@ def demand_at_linear_price_by_enumeration(valuation, agent: int, p, delta) -> De
     """Reference for `demand.demand_at_linear_price`: enumeration at p per
     weak unit and p + delta per strong unit."""
     return demand_by_enumeration(valuation, agent, lambda k: k.kw * p + k.ks * (p + delta))
+
+
+def uce_dual_objective(instance: Instance, state) -> Fraction:
+    """Reference for `pricing.dual_objective` at envelope prices: the UCE dual
+    objective of the state, every agent's pi taken by enumerating its bundles.
+
+    pi is taken at its minimal feasible level max(0, max_k v_adj(k) - rho_adj(k)),
+    which only depends on the agent (the envelope is economy-independent), so
+    the value is a valid bound regardless of normalization history.
+    """
+    n = instance.n
+    pi = {}
+    for i in range(1, n + 1):
+        v = instance.valuation(i)
+        pi[i] = max(
+            max(v.value(k, instance.delta) - rho_adjusted(state, i, k) for k in v.bundles()),
+            ZERO,
+        )
+    total = ZERO
+    for j in range(0, n + 1):
+        members = economy_members(j, n)
+        total += sum((pi[i] for i in members), ZERO)
+        total += instance.K * state.p[j]
+        total += sum((state.alpha[(i, j)] for i in members), ZERO)
+    return total
 
 
 def _best_assignment(members, valuations, K, value_fn):

@@ -6,14 +6,14 @@ Price updates follow the closed-form improving direction of the primal-dual
 method: each updated economy's unit price moves by epsilon, and every other
 economy's offsets move by epsilon times the agent's reported kappa.  One call
 applies a whole round's step, all its economies at once, in a single pass over
-the offsets.
+the offsets.  `dual_objective` is the one formula for the UCE dual objective.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Bundle, Instance, economy_members, visible_economies
+from .model import Bundle, visible_economies
 
 ZERO = Fraction(0)
 
@@ -132,28 +132,17 @@ def _apply_step(state, economies, kappa, step):
     return EnvelopePriceState(n=state.n, p=tuple(p), alpha=alpha, delta=state.delta)
 
 
-def uce_dual_objective(instance: Instance, state: EnvelopePriceState) -> Fraction:
-    """Objective of the UCE dual program evaluated at this price state.
+def dual_objective(K: int, utilities, p, offsets) -> Fraction:
+    """The UCE dual objective: the sum over economies j of the members'
+    utilities pi_i, K * p[j] and the members' offsets alpha[(i, j)].
 
-    pi is taken at its minimal feasible level max(0, max_k v_adj(k) - rho_adj(k)),
-    which only depends on the agent (the envelope is economy-independent), so
-    the value is a valid bound regardless of normalization history.
+    Every agent belongs to n of the n+1 economies, so its utility enters n
+    times, and every offset (i, j) belongs to exactly one economy's sum.
+    utilities holds each agent's pi, offsets every alpha; callers pass the
+    values their own clamps and normalization produce.
     """
-    n = instance.n
-    pi = {}
-    for i in range(1, n + 1):
-        v = instance.valuation(i)
-        pi[i] = max(
-            max(v.value(k, instance.delta) - rho_adjusted(state, i, k) for k in v.bundles()),
-            ZERO,
-        )
-    total = ZERO
-    for j in range(0, n + 1):
-        members = economy_members(j, n)
-        total += sum((pi[i] for i in members), ZERO)
-        total += instance.K * state.p[j]
-        total += sum((state.alpha[(i, j)] for i in members), ZERO)
-    return total
+    n = len(p) - 1
+    return n * sum(utilities, ZERO) + K * sum(p, ZERO) + sum(offsets, ZERO)
 
 
 def state_to_dict(state: EnvelopePriceState) -> dict:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import Instance, InstanceValidationError, economy_members, format_rational, visible_economies
+from .pricing import dual_objective
 
 ZERO = Fraction(0)
 
@@ -57,25 +58,6 @@ def _seller_side(n, values, rho, p):
                 [(k, rho[(i, k)] - k.size * p[j]) for k, _ in values[i]]
             )
     return alpha, pick
-
-
-def _dual_objective(instance, values, rho, p, alpha):
-    """Feasible UCE dual objective: pi and alpha clamped at zero, prices at p.
-
-    The clamps keep the evaluation inside the dual's feasible region, so the
-    reported value is always a valid bound on the optimum.
-    """
-    n = instance.n
-    pi = {}
-    for i in range(1, n + 1):
-        pi[i] = max(max(value - rho[(i, k)] for k, value in values[i]), ZERO)
-    total = ZERO
-    for j in range(0, n + 1):
-        members = economy_members(j, n)
-        total += sum((pi[i] for i in members), ZERO)
-        total += instance.K * max(p[j], ZERO)
-        total += sum((max(alpha[(i, j)], ZERO) for i in members), ZERO)
-    return total
 
 
 def run_subgradient(
@@ -148,7 +130,12 @@ def run_subgradient(
         rho, p = new_rho, new_p
 
         alpha, beta_pick = _seller_side(n, values, rho, p)
-        objective = _dual_objective(instance, values, rho, p, alpha)
+        # pi, p and alpha clamped at zero keep the evaluation inside the
+        # dual's feasible region, so the value is always a valid bound.
+        pi = (max(max(value - rho[(i, k)] for k, value in values[i]), ZERO) for i in values)
+        objective = dual_objective(
+            instance.K, pi, [max(q, ZERO) for q in p], (max(a, ZERO) for a in alpha.values())
+        )
         if run.best_objective is None or objective < run.best_objective:
             run.best_objective = objective
             run.best_iteration = it

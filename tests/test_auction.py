@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from uceauction import auction, oracle
+from uceauction import auction, oracle, pricing
 from uceauction.auction import (
     NoFeasibleSelection,
     RoundLimitExceeded,
@@ -23,7 +23,8 @@ from uceauction.generate import (
     random_product_mix_instance,
 )
 from uceauction.model import Bundle, Instance, ZERO_BUNDLE, parse_rational, visible_economies
-from uceauction.pricing import EnvelopePriceState, rho_adjusted, uce_dual_objective
+from uceauction.oracle import uce_dual_objective
+from uceauction.pricing import EnvelopePriceState, rho_adjusted
 
 F = Fraction
 
@@ -367,6 +368,24 @@ def test_record_dual_objective_is_the_pricing_dual_objective():
                 records += 1
                 refines += "witness" in record
         assert records > 100 and refines >= 5
+
+
+def test_uce_run_never_evaluates_a_price_line(table1, monkeypatch):
+    """The engine prices bundles by size tables only: no run calls
+    pricing.line_price, refine steps included."""
+    calls = []
+    real = pricing.line_price
+    monkeypatch.setattr(
+        pricing, "line_price", lambda *args: calls.append(args) or real(*args)
+    )
+    refining = generate_product_mix(
+        seed=1, n=12, K=12, epsilon=F(1, 10), value_steps_max=14, gamma_max=3,
+        update_mode="single",
+    )
+    for inst in (table1, refining):
+        _, trace = run_uce_auction(inst)
+        assert calls == []
+    assert sum("witness" in record for record in trace.records) == 1
 
 
 def test_refine_record_carries_certification_witness():

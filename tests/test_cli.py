@@ -1,15 +1,24 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uceauction.cli import main
-from uceauction.model import dump_instance, instance_to_dict, load_instance
+from uceauction.generate import generate_product_mix
+from uceauction.model import (
+    Instance,
+    MultiUnitValuation,
+    dump_instance,
+    instance_to_dict,
+    load_instance,
+)
 
 
 @pytest.fixture
@@ -59,6 +68,69 @@ def test_trace_csv_columns(table1_file, tmp_path, capsys):
     ]
     # 5 rounds x 4 economies.
     assert len(rows) == 1 + 20
+
+
+@pytest.fixture
+def refine_file(tmp_path):
+    """A criterion-7-family market whose run takes one refine step."""
+    path = tmp_path / "refine.json"
+    dump_instance(
+        generate_product_mix(
+            seed=1, n=12, K=12, epsilon=Fraction(1, 10), value_steps_max=14, gamma_max=3,
+            update_mode="single",
+        ),
+        path,
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "market, engine, rows, digest",
+    [
+        ("table1", "linear", 5, "52bac24d4292254cda3faf9953222623aa4ece7d4bf76866498786be9c7f88db"),
+        ("table1", "parallel", 14, "c0b8581f2b13545748d070221230a8088d1f6a9989216c29e97fe1cf27b67465"),
+        ("refine", "uce", 169, "6bcc5e9fbcbe188856ce3089b3f3e278e785667878aa8bd7bb899eef36e3d3f0"),
+    ],
+    ids=["table1-linear", "table1-parallel", "refine-uce"],
+)
+def test_trace_csv_bytes_are_pinned(
+    table1_file, refine_file, tmp_path, capsys, market, engine, rows, digest
+):
+    """Whole --trace-csv files, pinned by sha256, with one writer for every
+    engine."""
+    path = tmp_path / "trace.csv"
+    instance = table1_file if market == "table1" else refine_file
+    assert main(["run", instance, "--engine", engine, "--trace-csv", str(path)]) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    assert data.count(b"\r\n") == 1 + rows
+    if market == "refine":
+        assert data.count(b",refine\r\n") == 13
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("engine", ["uce", "linear", "parallel"])
+def test_no_action_after_settling_under_demanded_at_zero(tmp_path, capsys, engine):
+    """Every economy of this market is under-demanded at price 0, where no
+    engine takes a step: every action cell is empty."""
+    market = tmp_path / "under.json"
+    dump_instance(
+        Instance(
+            agents=(
+                MultiUnitValuation((Fraction(3), Fraction(2))),
+                MultiUnitValuation((Fraction(2), Fraction(1))),
+            ),
+            K=20,
+        ),
+        market,
+    )
+    path = tmp_path / "trace.csv"
+    assert main(["run", str(market), "--engine", engine, "--trace-csv", str(path)]) == 0
+    capsys.readouterr()
+    with open(path) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows
+    assert all(row[2] == "0" and row[5] == "under" and row[6] == "" for row in rows)
 
 
 def test_trace_json_embeds_digest(table1_file, tmp_path, capsys):
@@ -259,6 +331,51 @@ def test_bad_rational_option_names_the_option(table1_file, tmp_path, capsys, arg
     assert "argument %s: not an exact rational" % option in err
     assert "invalid instance" not in err
     assert not out.exists()
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["run", "{instance}", "--round-cap", "0"], "--round-cap"),
+        (["run", "{instance}", "--engine", "subgradient", "--iterations", "0"], "--iterations"),
+        (["lp", "{instance}", "--build", "restricted-dual", "--at-round", "999"], "--at-round"),
+        (["lp", "{instance}", "--build", "restricted-dual", "--at-round", "0"], "--at-round"),
+        (["lp", "{instance}", "--build", "restricted-dual", "--at-round", "-1"], "--at-round"),
+        (["lp", "{instance}", "--build", "ce-primal", "--economy", "7"], "--economy"),
+        (["lp", "{instance}", "--build", "ce-primal", "--economy", "-1"], "--economy"),
+        (["gen", "--seed", "1", "--gamma-max", "0", "--output", "{out}"], "--gamma-max"),
+        (["gen", "--seed", "1", "--family", "multi_unit", "--agents", "0", "--output", "{out}"],
+         "--agents"),
+        (["gen", "--seed", "1", "--family", "multi_unit", "--supply", "0", "--output", "{out}"],
+         "--supply"),
+        (["gen", "--seed", "1", "--strong-fraction", "1.5", "--output", "{out}"],
+         "--strong-fraction"),
+        (["gen", "--seed", "1", "--strong-fraction", "-0.1", "--output", "{out}"],
+         "--strong-fraction"),
+        (["verify", "--suite", "vcg", "--count", "0"], "--count"),
+    ],
+    ids=[
+        "round-cap-0", "iterations-0", "at-round-999", "at-round-0", "at-round-negative",
+        "economy-7", "economy-negative", "gamma-max-0", "multi-unit-agents-0", "multi-unit-supply-0",
+        "strong-fraction-above-1", "strong-fraction-negative", "verify-count-0",
+    ],
+)
+def test_out_of_range_option_exits_2_naming_it(table1_file, tmp_path, capsys, argv, option):
+    out = tmp_path / "gen.json"
+    argv = [a.format(instance=table1_file, out=out) for a in argv]
+    assert _exit_code(["--out-dir", str(tmp_path)] + argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert sum("argument %s: " % option in line for line in lines) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 _AGENTS = [

@@ -11,7 +11,7 @@ from uceauction.demand import (
     demand_from_size_tables,
     demand_set,
     diagnose,
-    kappa_sums,
+    economy_kappa_sums,
 )
 from uceauction.model import Bundle, MultiUnitValuation, ProductMixValuation
 from uceauction.pricing import EnvelopePriceState, initial_state
@@ -72,12 +72,13 @@ def test_contiguity_monitor_records_gap():
 def test_diagnose_thresholds(table1):
     state = initial_state(3, F(0))
     reports = {i: demand_set(table1.valuation(i), state, i) for i in (1, 2, 3)}
-    assert kappa_sums(reports, 0, 3) == (9, 9)
-    assert diagnose(reports, 4, 0, 3) == OVER_DEMAND
-    assert diagnose(reports, 9, 0, 3) == BALANCED
-    assert diagnose(reports, 12, 0, 3) == UNDER_DEMAND
+    sums = economy_kappa_sums(reports)
+    assert sums[0] == (9, 9)
+    assert diagnose(*sums[0], 4) == OVER_DEMAND
+    assert diagnose(*sums[0], 9) == BALANCED
+    assert diagnose(*sums[0], 12) == UNDER_DEMAND
     # Marginal economy 1 drops agent 1's four units.
-    assert kappa_sums(reports, 1, 3) == (5, 5)
+    assert sums[1] == (5, 5)
 
 
 def test_best_value_by_size_closed_forms():

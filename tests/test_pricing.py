@@ -1,11 +1,21 @@
 import random
 from fractions import Fraction
 
-from uceauction.model import Bundle, economy_members, visible_economies
+from uceauction.demand import best_value_by_size
+from uceauction.model import (
+    Bundle,
+    Instance,
+    MultiUnitValuation,
+    ProductMixValuation,
+    economy_members,
+    visible_economies,
+)
+from uceauction.oracle import uce_dual_objective
 from uceauction.pricing import (
     EnvelopePriceState,
     apply_over_demand_update,
     apply_under_demand_update,
+    dual_objective,
     envelope_argmin,
     envelope_price_by_size,
     initial_state,
@@ -13,7 +23,6 @@ from uceauction.pricing import (
     rho,
     rho_adjusted,
     state_to_dict,
-    uce_dual_objective,
 )
 
 F = Fraction
@@ -183,3 +192,45 @@ def test_one_call_equals_the_sequential_single_economy_updates():
                     )
                     assert one.delta == state.delta
     assert zero_kappa > 20 and own_marginal > 100
+
+
+def _random_agent(rng):
+    if rng.randrange(2):
+        marginals = sorted((F(rng.randint(0, 9)) for _ in range(rng.randint(1, 4))), reverse=True)
+        return MultiUnitValuation(tuple(marginals))
+    v_w = F(rng.randint(0, 6))
+    return ProductMixValuation(v_w, v_w + rng.randint(1, 5), rng.randint(0, 4))
+
+
+def test_dual_objective_matches_the_enumeration_reference():
+    """The one dual-objective formula, given each agent's clamped utility from
+    the per-size tables, equals the oracle's bundle enumeration on random
+    unnormalized states whose offsets take both signs."""
+    rng = random.Random(60606)
+    clamped = 0
+    for _ in range(1200):
+        agents = tuple(_random_agent(rng) for _ in range(rng.randint(1, 4)))
+        delta = F(rng.randint(0, 2))
+        inst = Instance(agents=agents, K=rng.randint(1, 8), delta=delta)
+        n = inst.n
+        state = EnvelopePriceState(
+            n=n,
+            p=tuple(F(rng.randint(-2, 16), 2) for _ in range(n + 1)),
+            alpha={
+                (i, j): F(rng.randint(-12, 12), 2)
+                for i in range(1, n + 1)
+                for j in visible_economies(i, n)
+            },
+            delta=delta,
+        )
+        utilities = []
+        for i in range(1, n + 1):
+            v = inst.valuation(i)
+            prices = envelope_price_by_size(state, i, v.capacity)
+            u = max(value - price for value, price in zip(best_value_by_size(v, delta), prices))
+            clamped += u < 0
+            utilities.append(max(u, F(0)))
+        assert dual_objective(inst.K, utilities, state.p, state.alpha.values()) == (
+            uce_dual_objective(inst, state)
+        )
+    assert clamped >= 100

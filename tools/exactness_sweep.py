@@ -1,0 +1,150 @@
+"""Exactness sweep: one sha256 per run, for diffing two checkouts.
+
+    python3 tools/exactness_sweep.py [CHECKOUT] > sweep.txt
+
+CHECKOUT (default: the checkout holding this script) is the tree whose
+`src/uceauction` and `perfbench/workloads.py` are imported.  Run the sweep on
+a parent checkout and on a change and diff the two outputs; each line is
+`<run> <sha256>`, so a differing line names the run whose output changed.
+
+Runs, each through `uceauction run --engine uce|linear|parallel` with
+`--trace-json` and `--trace-csv`, hashing the exit code, stdout, stderr and
+both trace files:
+
+- acceptance criterion 3's 200 instances;
+- the perfbench `wide-coarse` and `narrow-fine` seed-0 pools (each holds both
+  directions), in both update modes.
+
+And `subgradient.run_subgradient` (step 1/2) on the 8 `dual-small` markets of
+seeds 0 and 3, at 0, 1 and 200 iterations, hashing the log, the best
+objective and iteration, and the final state.
+
+Standard library only; the pool definitions are read, never written.
+"""
+from __future__ import annotations
+
+import sys
+
+sys.dont_write_bytecode = True
+
+import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import os  # noqa: E402
+import random  # noqa: E402
+import tempfile  # noqa: E402
+from fractions import Fraction  # noqa: E402
+from pathlib import Path  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+
+ENGINES = ("uce", "linear", "parallel")
+MODES = ("batch", "single")
+SUBGRADIENT_ITERATIONS = (0, 1, 200)
+
+
+def import_checkout(root: Path):
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    modules = ("cli", "generate", "model", "subgradient")
+    pkg = SimpleNamespace(**{m: importlib.import_module("uceauction." + m) for m in modules})
+    return pkg, importlib.import_module("workloads")
+
+
+def criterion3_instances(generate):
+    """Acceptance criterion 3's instances, in its order."""
+    rng = random.Random(12345)
+    for idx in range(200):
+        family = (
+            generate.random_multi_unit_instance if idx % 2 else generate.random_product_mix_instance
+        )
+        mode = MODES[(idx // 2) % 2]
+        direction = ("ascending", "descending")[(idx // 4) % 2]
+        instance = family(rng, direction=direction)
+        yield "c3-%03d" % idx, dataclasses.replace(instance, update_mode=mode)
+
+
+def digest(parts) -> str:
+    """sha256 over length-prefixed parts, so no two part lists collide."""
+    h = hashlib.sha256()
+    for part in parts:
+        data = part if isinstance(part, bytes) else str(part).encode("utf-8")
+        h.update(b"%d:" % len(data))
+        h.update(data)
+    return h.hexdigest()
+
+
+def read_or_missing(path: str) -> bytes:
+    if not os.path.exists(path):
+        return b"<missing>"
+    with open(path, "rb") as fh:
+        data = fh.read()
+    os.unlink(path)
+    return data
+
+
+def engine_hash(pkg, instance_path: str, engine: str, workdir: str) -> str:
+    trace_json = os.path.join(workdir, "trace.json")
+    trace_csv = os.path.join(workdir, "trace.csv")
+    argv = ["run", instance_path, "--engine", engine,
+            "--trace-json", trace_json, "--trace-csv", trace_csv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = pkg.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an escaped exception is an output too
+            code = "exception %s: %s" % (type(exc).__name__, exc)
+    return digest([code, stdout.getvalue(), stderr.getvalue(),
+                   read_or_missing(trace_json), read_or_missing(trace_csv)])
+
+
+def auction_runs(pkg, workloads):
+    yield from criterion3_instances(pkg.generate)
+    for name in ("wide-coarse", "narrow-fine"):
+        pool = workloads.build_pool(pkg, workloads.WORKLOADS[name], workloads.DEFAULT_SEED)
+        for mode in MODES:
+            for market in pool:
+                yield ("%s-%s-%s" % (name, market.id, mode),
+                       dataclasses.replace(market.instance, update_mode=mode))
+
+
+def subgradient_hash(pkg, instance, iterations: int) -> str:
+    run = pkg.subgradient.run_subgradient(instance, Fraction(1, 2), iterations)
+    state = run.state
+    return digest([
+        json.dumps(run.log, sort_keys=True),
+        run.best_objective,
+        run.best_iteration,
+        sorted((key, str(q)) for key, q in state.rho.items()),
+        [str(q) for q in state.p],
+        sorted((key, str(q)) for key, q in state.alpha.items()),
+        state.step,
+    ])
+
+
+def main(argv) -> int:
+    root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parent.parent
+    pkg, workloads = import_checkout(root)
+    with tempfile.TemporaryDirectory(prefix="exactness-") as workdir:
+        instance_path = os.path.join(workdir, "instance.json")
+        for label, instance in auction_runs(pkg, workloads):
+            with open(instance_path, "w", encoding="utf-8") as fh:
+                json.dump(pkg.model.instance_to_dict(instance), fh, indent=2, sort_keys=True)
+            for engine in ENGINES:
+                run_hash = engine_hash(pkg, instance_path, engine, workdir)
+                print("%s-%s %s" % (label, engine, run_hash), flush=True)
+    dual = workloads.WORKLOADS["dual-small"]
+    for seed in (0, 3):
+        for market in workloads.build_pool(pkg, dual, seed):
+            for iterations in SUBGRADIENT_ITERATIONS:
+                print("dual-small-seed%d-%s-it%d %s"
+                      % (seed, market.id, iterations,
+                         subgradient_hash(pkg, market.instance, iterations)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
