@@ -6,6 +6,7 @@ and a parallel benchmark running one uniform-price auction per economy.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from .pricing import (
     dual_objective,
     envelope_price_by_size,
     initial_state,
+    offset_step_total,
 )
 
 ZERO = Fraction(0)
@@ -48,6 +50,12 @@ class RoundLimitExceeded(RuntimeError):
     def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace
+
+
+class OffLattice(RuntimeError):
+    """A clock price lies off the epsilon-lattice of the instance's values.
+    Instance.validate rules this out, so it is an invariant failure; the
+    engine never rounds to the lattice."""
 
 
 class NoFeasibleSelection(RuntimeError):
@@ -128,6 +136,8 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
     values = value_tables(instance)
     cap = round_cap if round_cap is not None else default_round_cap(instance, values)
     state = initial_state(n, instance.p_init, instance.delta)
+    # sum(state.alpha.values()), kept step by step in O(n) per round.
+    alpha_sum = sum(state.alpha.values(), ZERO)
     trace = AuctionTrace()
     cleared_round: dict = {}
     settled_now: set = set()
@@ -166,7 +176,7 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
             # utility, unclamped; after normalization the zero bundle costs
             # 0, so that pi is feasible.
             "dual_objective": format_rational(dual_objective(
-                instance.K, [r.max_utility for r in reports.values()], state.p, state.alpha.values()
+                instance.K, [r.max_utility for r in reports.values()], state.p, (alpha_sum,)
             )),
             "updates": [],
         }
@@ -191,6 +201,7 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
                         " improving direction exists: %s" % witness
                     )
                 state = refined
+                alpha_sum = sum(state.alpha.values(), ZERO)
                 record["witness"] = witness
                 for j in range(0, n + 1):
                     record["updates"].append({"economy": j, "direction": "refine"})
@@ -222,9 +233,12 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
         if kind == OVER_DEMAND:
             kappa = {i: reports[i].kappa_min for i in range(1, n + 1)}
             state = apply_over_demand_update(state, targets, kappa, instance.epsilon)
+            step = instance.epsilon
         else:
             kappa = {i: reports[i].kappa_max for i in range(1, n + 1)}
             state = apply_under_demand_update(state, targets, kappa, instance.epsilon)
+            step = -instance.epsilon
+        alpha_sum += offset_step_total(n, targets, kappa, step)
         record["updates"].extend({"economy": j, "direction": kind} for j in targets)
 
     raise RoundLimitExceeded("no termination within %d rounds" % cap, trace)
@@ -438,15 +452,69 @@ def vcg_payments(tables: TerminalTables, allocation):
     return {i: tables.revenue[i] - (total - revenue[i]) for i in tables.prices}
 
 
+# Longest run of rounds that one demand query may stand for in a
+# uniform-price clock; None leaves runs unbounded, and 1 queries every round,
+# which is the epsilon-stepped reference the event-driven clock must equal.
+_MAX_JUMP = None
+
+
+def _clock_breakpoints(members, values):
+    """The members' distinct adjusted marginal values, sorted.  Each best
+    value table is concave in size, so at unit price p an agent demands the
+    sizes s with marginal values[s] - values[s-1] above p, and those equal to
+    p at its discretion: reports change only where p meets one of these."""
+    return sorted({
+        values[i][s] - values[i][s - 1] for i in members for s in range(1, len(values[i]))
+    })
+
+
+def _run_length(breaks, p, diag, epsilon):
+    """Rounds the clock takes from p, stepping epsilon in the direction of
+    diag, before it reaches the next breakpoint (or 0, descending).  Every
+    price it passes lies strictly between two neighbouring breakpoints, as p
+    does, so all of them give p's reports.  A breakpoint is a run of one."""
+    at = bisect_left(breaks, p)
+    if at < len(breaks) and breaks[at] == p:
+        return 1
+    if diag == OVER_DEMAND:
+        # Above every breakpoint nothing is demanded, so one lies above p.
+        target = breaks[at]
+    else:
+        target = max(breaks[at - 1], ZERO) if at else ZERO
+    steps = abs(target - p) / epsilon
+    if steps.denominator != 1:
+        raise OffLattice(
+            "clock price %s is not a whole number of epsilon = %s steps from %s"
+            % (p, epsilon, target)
+        )
+    return int(steps)
+
+
+def _clock_row(round_, p, low, high, diag):
+    return {
+        "round": round_,
+        "p": format_rational(p),
+        "sum_kappa_min": low,
+        "sum_kappa_max": high,
+        "diagnosis": diag,
+    }
+
+
 def _run_linear(instance, members, round_cap, values):
-    """Uniform-price loop on a subset of agents; returns per-run summary."""
+    """Uniform-price clock on a subset of agents; returns per-run summary.
+
+    The clock is event-driven: it queries the members once per run of
+    rounds whose reports are identical (see _run_length) and appends the
+    run's rows at once.  Rounds, queries and rows count and read exactly as
+    if it queried every epsilon step.  It settles only at a run's first
+    round, where the reports were queried at that round's own price.
+    """
+    breaks = _clock_breakpoints(members, values)
     p = instance.p_init
     rounds = 0
     queries = 0
     rows = []
     while rounds < round_cap:
-        rounds += 1
-        queries += len(members)
         reports = {
             i: demand_at_linear_price(instance.valuation(i), i, p, instance.delta, values[i])
             for i in members
@@ -454,16 +522,10 @@ def _run_linear(instance, members, round_cap, values):
         low = sum(r.kappa_min for r in reports.values())
         high = sum(r.kappa_max for r in reports.values())
         diag = diagnose(low, high, instance.K)
-        rows.append(
-            {
-                "round": rounds,
-                "p": format_rational(p),
-                "sum_kappa_min": low,
-                "sum_kappa_max": high,
-                "diagnosis": diag,
-            }
-        )
         if settled(diag, p):
+            rounds += 1
+            queries += len(members)
+            rows.append(_clock_row(rounds, p, low, high, diag))
             allocation = final_allocation(reports, instance.K, instance.adjusted_value)
             return {
                 "allocation": allocation,
@@ -472,7 +534,15 @@ def _run_linear(instance, members, round_cap, values):
                 "queries": queries,
                 "rows": rows,
             }
-        p = p + instance.epsilon if diag == OVER_DEMAND else p - instance.epsilon
+        length = min(_run_length(breaks, p, diag, instance.epsilon), round_cap - rounds)
+        if _MAX_JUMP is not None:
+            length = min(length, _MAX_JUMP)
+        step = instance.epsilon if diag == OVER_DEMAND else -instance.epsilon
+        queries += length * len(members)
+        for _ in range(length):
+            rounds += 1
+            rows.append(_clock_row(rounds, p, low, high, diag))
+            p += step
     raise RoundLimitExceeded(
         "linear auction: no termination within %d rounds" % round_cap,
         AuctionTrace(records=rows),

@@ -70,11 +70,76 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, int) and not isinstance(key, bool):
+        return int.__repr__(key)
+    raise TypeError("JSON object keys must be str or int, not %s" % type(key).__name__)
+
+
+def _json_text(o, indent: str) -> str:
+    """The text json.dumps(o, indent=2, default=str) gives o when o starts
+    on a line indented by `indent`.  It covers the types traces hold: dicts
+    with str or int keys, lists, tuples, str, int, bool and None; any other
+    value is written as the string str() gives it."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        body = ",\n".join([inner + _json_text(v, inner) for v in o])
+        return "[\n" + body + "\n" + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        body = ",\n".join([
+            inner + _quote(_json_key(k)) + ": " + _json_text(v, inner) for k, v in o.items()
+        ])
+        return "{\n" + body + "\n" + indent + "}"
+    return _quote(str(o))
+
+
+def _emit_json(write, o, indent: str, depth: int) -> None:
+    """Write _json_text(o, indent), item by item through the outer `depth`
+    levels of containers, so only one inner item's text is built at a time."""
+    if not (depth and isinstance(o, (list, tuple, dict)) and o):
+        write(_json_text(o, indent))
+        return
+    inner = indent + "  "
+    if isinstance(o, dict):
+        opening, closing = "{", "}"
+        items = ((inner + _quote(_json_key(k)) + ": ", v) for k, v in o.items())
+    else:
+        opening, closing = "[", "]"
+        items = ((inner, v) for v in o)
+    separator = opening + "\n"
+    for prefix, value in items:
+        write(separator + prefix)
+        _emit_json(write, value, inner, depth - 1)
+        separator = ",\n"
+    write("\n" + indent + closing)
+
+
 def _write_json(path: str, doc) -> None:
-    """Encode straight into the file: a long trace's text is never held in
-    memory whole."""
+    """Write doc as json.dump(doc, fh, indent=2, default=str) does, record by
+    record (a trace's records are the items two levels down): a long trace's
+    text is never held in memory whole."""
     with _atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2, default=str)
+        _emit_json(fh.write, doc, "", 2)
         fh.write("\n")
 
 
@@ -475,6 +540,14 @@ def _rational_option(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _positive_rational(text: str) -> Fraction:
+    """argparse type for an exact rational option that must exceed 0."""
+    value = _rational_option(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive, got %s" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uceauction",
@@ -521,10 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="product_mix")
     p_gen.add_argument("--agents", type=_bounded(int, 1), default=17)
     p_gen.add_argument("--supply", type=_bounded(int, 1), default=100)
-    p_gen.add_argument("--epsilon", type=_rational_option, default="1/100")
+    p_gen.add_argument("--epsilon", type=_positive_rational, default="1/100")
     p_gen.add_argument("--strong-fraction", type=_bounded(float, 0, 1), default=0.2)
     p_gen.add_argument("--gamma-max", type=_bounded(int, 1), default=None)
-    p_gen.add_argument("--delta-steps", type=int, default=0)
+    p_gen.add_argument("--delta-steps", type=_bounded(int, 0), default=0)
     p_gen.add_argument("--direction", choices=("ascending", "descending"),
                        default="ascending")
     p_gen.add_argument("--update-mode", choices=("batch", "single"), default="batch")
@@ -562,6 +635,9 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     except NotUniversal as exc:
         print("certification FAILED: %s" % exc, file=sys.stderr)
+        return EXIT_INVARIANT
+    except auction.OffLattice as exc:
+        print("invariant failed: %s" % exc, file=sys.stderr)
         return EXIT_INVARIANT
 
 

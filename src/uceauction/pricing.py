@@ -132,14 +132,25 @@ def _apply_step(state, economies, kappa, step):
     return EnvelopePriceState(n=state.n, p=tuple(p), alpha=alpha, delta=state.delta)
 
 
+def offset_step_total(n: int, economies, kappa: dict, step: Fraction) -> Fraction:
+    """What one _apply_step call adds to the sum of all n^2 offsets.  Agent i
+    sees the m updated economies less its own marginal economy if that one is
+    updated, so by _apply_step's increments its offsets gain
+    step * kappa[i] * ((n - 1) * m + [i updated]) in total."""
+    updated = set(economies)
+    m = len(updated)
+    return step * sum(kappa[i] * ((n - 1) * m + (i in updated)) for i in range(1, n + 1))
+
+
 def dual_objective(K: int, utilities, p, offsets) -> Fraction:
     """The UCE dual objective: the sum over economies j of the members'
     utilities pi_i, K * p[j] and the members' offsets alpha[(i, j)].
 
     Every agent belongs to n of the n+1 economies, so its utility enters n
     times, and every offset (i, j) belongs to exactly one economy's sum.
-    utilities holds each agent's pi, offsets every alpha; callers pass the
-    values their own clamps and normalization produce.
+    utilities holds each agent's pi, offsets every alpha (or terms with the
+    same sum); callers pass the values their own clamps and normalization
+    produce.
     """
     n = len(p) - 1
     return n * sum(utilities, ZERO) + K * sum(p, ZERO) + sum(offsets, ZERO)

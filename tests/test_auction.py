@@ -16,13 +16,20 @@ from uceauction.auction import (
     value_tables,
 )
 from uceauction.cli import _state_from_record
-from uceauction.demand import DemandReport
+from uceauction.demand import DemandReport, best_value_by_size
 from uceauction.generate import (
     generate_product_mix,
     random_multi_unit_instance,
     random_product_mix_instance,
 )
-from uceauction.model import Bundle, Instance, ZERO_BUNDLE, parse_rational, visible_economies
+from uceauction.model import (
+    Bundle,
+    Instance,
+    MultiUnitValuation,
+    ZERO_BUNDLE,
+    parse_rational,
+    visible_economies,
+)
 from uceauction.oracle import uce_dual_objective
 from uceauction.pricing import EnvelopePriceState, rho_adjusted
 
@@ -450,3 +457,159 @@ def test_engines_unchanged_under_the_enumeration_reference(monkeypatch):
             assert trace.records == ref_trace.records
         biased += inst.delta > 0
     assert biased > 10
+
+
+def test_running_offset_sum_is_the_offsets_sum():
+    """The engine's running offset sum, the dual objective's only input not
+    in the record, equals the sum of the record's offsets in every round:
+    criterion 3's runs and a single-mode market that takes a refine step."""
+    refining = generate_product_mix(
+        seed=1, n=12, K=12, epsilon=F(1, 10), value_steps_max=14, gamma_max=3,
+        update_mode="single",
+    )
+    records = refines = 0
+    for inst in list(_criterion3_instances()) + [refining]:
+        _, trace = run_uce_auction(inst)
+        for record in trace.records:
+            utilities = sum(parse_rational(r["max_utility"]) for r in record["reports"].values())
+            prices = sum(parse_rational(q) for q in record["p"])
+            offsets = sum(parse_rational(a) for a in record["alpha"].values())
+            running = (
+                parse_rational(record["dual_objective"]) - inst.n * utilities - inst.K * prices
+            )
+            assert running == offsets
+            records += 1
+            refines += "witness" in record
+    assert records > 500 and refines >= 2
+
+
+def _biased_multi_unit_markets(count):
+    """Multi-unit markets with a strong-unit bias delta > 0: marginals equal
+    to delta (zero adjusted marginals), below it (negative ones) and zero
+    (outside the consumption set), up to 40 units per bidder, both
+    directions."""
+    rng = random.Random(31337)
+    for idx in range(count):
+        epsilon = F(1, rng.choice((1, 2, 4)))
+        delta = rng.randint(1, 5) * epsilon
+        agents = []
+        for _ in range(rng.randint(1, 4)):
+            steps = sorted((rng.randint(0, 30) for _ in range(rng.randint(1, 40))), reverse=True)
+            steps[0] = max(steps[0], 1)
+            agents.append(MultiUnitValuation(tuple(q * epsilon for q in steps)))
+        descending = idx % 2
+        top = max(v.marginals[0] for v in agents)
+        yield Instance(
+            agents=tuple(agents), K=rng.randint(1, 40), delta=delta, epsilon=epsilon,
+            p_init=top + epsilon if descending else F(0),
+            direction=("ascending", "descending")[descending],
+        )
+
+
+def _narrow_fine_pool():
+    """The perfbench narrow-fine seed-0 markets, in both update modes."""
+    for seed in range(5):
+        for direction in ("ascending", "descending"):
+            for mode in ("batch", "single"):
+                yield generate_product_mix(
+                    seed=seed, n=4, K=12, epsilon=F(1, 100), value_steps_max=150,
+                    direction=direction, update_mode=mode,
+                )
+
+
+def _clock_runs(inst, round_cap=None):
+    """Each uniform-price clock's (outcome, records), or the records of the
+    round cap's exception."""
+    runs = []
+    for engine in (run_linear_auction, run_parallel_auction):
+        try:
+            out, trace = engine(inst, round_cap=round_cap)
+            runs.append((out, trace.records))
+        except RoundLimitExceeded as exc:
+            runs.append(("round cap", exc.trace.records))
+    return runs
+
+
+def test_event_driven_clocks_equal_the_stepped_reference(monkeypatch):
+    """Querying once per run of identical reports gives the outcomes (queries
+    included) and every trace record of the clocks that query each round."""
+    markets = (
+        list(_criterion3_instances())
+        + list(_narrow_fine_pool())
+        + list(_biased_multi_unit_markets(60))
+    )
+    fast = [_clock_runs(inst) for inst in markets]
+    monkeypatch.setattr(auction, "_MAX_JUMP", 1)
+    zero = negative = long_runs = 0
+    for inst, runs in zip(markets, fast):
+        assert runs == _clock_runs(inst)
+        marginals = {
+            best[s] - best[s - 1] for best in value_tables(inst).values() for s in range(1, len(best))
+        }
+        zero += 0 in marginals
+        negative += any(m < 0 for m in marginals)
+        long_runs += runs[0][0].rounds > len(marginals) + 2
+    assert zero >= 10 and negative >= 10 and long_runs >= 10
+
+
+def _under_demanded_at_zero():
+    """Descending market whose supply exceeds every bidder's capacity: each
+    clock ends under-demanded at price 0."""
+    return Instance(
+        agents=(MultiUnitValuation((F(5), F(3))), MultiUnitValuation((F(4), F(1)))),
+        K=10, epsilon=F(1, 2), p_init=F(11, 2), direction="descending",
+    )
+
+
+def test_capped_clocks_equal_the_stepped_reference(table1, monkeypatch):
+    """At every round cap up to the uncapped length both settings stop at the
+    same round with the same records, or finish with the same outcome."""
+    for inst in (table1, _under_demanded_at_zero()):
+        uncapped = _clock_runs(inst)
+        assert all(out != "round cap" for out, _ in uncapped)
+        length = max(out.rounds for out, _ in uncapped)
+        fast = [_clock_runs(inst, cap) for cap in range(1, length + 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(auction, "_MAX_JUMP", 1)
+            stepped = [_clock_runs(inst, cap) for cap in range(1, length + 1)]
+        assert fast == stepped
+        assert fast[-1] == uncapped and fast[0][0][0] == "round cap"
+    assert uncapped[0][0].details == {"clearing_price": "0"}
+    assert uncapped[0][1][-1]["diagnosis"] == "under"
+
+
+def test_clock_queries_once_per_run(monkeypatch):
+    """On a narrow-fine market the uniform-price clock asks each member once
+    per run of rounds (between breakpoints, or at one), yet reports the
+    paper's count, one query per member per round."""
+    inst = generate_product_mix(seed=0, n=4, K=12, epsilon=F(1, 100), value_steps_max=150)
+    calls = []
+    real = auction.demand_at_linear_price
+    monkeypatch.setattr(
+        auction, "demand_at_linear_price", lambda *args: calls.append(args) or real(*args)
+    )
+    out, trace = run_linear_auction(inst)
+    assert out.queries == out.rounds * inst.n
+    breakpoints = {
+        values[s] - values[s - 1]
+        for i in range(1, inst.n + 1)
+        for values in [best_value_by_size(inst.valuation(i), inst.delta)]
+        for s in range(1, len(values))
+    }
+    prices = [parse_rational(row["p"]) for row in trace.records]
+    runs = sum(
+        1
+        for t, p in enumerate(prices)
+        if t == 0 or p == 0 or p in breakpoints or prices[t - 1] in breakpoints
+    )
+    assert len(calls) <= inst.n * runs
+    assert runs * 10 < out.rounds
+
+
+def test_off_lattice_clock_price_is_an_invariant_failure(table1):
+    """A clock price off the epsilon-lattice raises; it is never rounded."""
+    tampered = replace(table1)
+    object.__setattr__(tampered, "p_init", F(1, 2))
+    for engine in (run_linear_auction, run_parallel_auction):
+        with pytest.raises(auction.OffLattice):
+            engine(tampered)

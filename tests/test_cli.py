@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from uceauction import auction, cli, subgradient
 from uceauction.cli import main
 from uceauction.generate import generate_product_mix
 from uceauction.model import (
@@ -141,6 +143,48 @@ def test_trace_json_embeds_digest(table1_file, tmp_path, capsys):
     assert len(doc["instance_digest"]) == 16
     assert doc["outcome"]["rounds"] == 5
     assert doc["outcome"]["payments"] == {"1": "5", "2": "4", "3": "4"}
+
+
+def _json_documents(table1, pm_small):
+    """Trace documents of all three engines, a capped trace, subgradient logs
+    (one holding Fractions) and a document of edge cases."""
+    docs = []
+    for inst in (table1, pm_small):
+        for engine in ("uce", "linear", "parallel"):
+            out, trace = cli._run_engine(inst, engine, argparse.Namespace(round_cap=None))
+            docs.append({
+                "instance_digest": cli.instance_digest(inst),
+                "engine": engine,
+                "records": trace.records,
+                "outcome": cli._outcome_to_dict(out, inst.n),
+            })
+    with pytest.raises(auction.RoundLimitExceeded) as capped:
+        auction.run_uce_auction(table1, round_cap=2)
+    docs.append({"records": capped.value.trace.records, "outcome": None, "round_cap_reached": True})
+    run = subgradient.run_subgradient(table1, Fraction(1, 2), 3)
+    docs.append({"instance_digest": "0" * 16, "log": run.log})
+    docs.append({"log": [{"iteration": 1, "objective": Fraction(7, 3), "gap": Fraction(-1, 2)}]})
+    docs.append({
+        "na\u00efve": ["\u20ac \u2014 \u00fc", "\u2603", "\x00\n\t\"\\/", ""],
+        5: {}, -3: -7, "empty": [], "nested": (1, (2, ()), [[]]),
+        "flags": [True, False, None], "fraction": Fraction(0),
+    })
+    return docs
+
+
+def test_trace_json_bytes_equal_json_dump(table1, pm_small, tmp_path):
+    """The streaming emitter writes the bytes json.dump(indent=2,
+    default=str) writes, plus the final newline."""
+    path = tmp_path / "doc.json"
+    for doc in _json_documents(table1, pm_small):
+        cli._write_json(str(path), doc)
+        expected = json.dumps(doc, indent=2, default=str) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+    for bad in ({(1, 2): 0}, {"outer": [{(1, 2): 0}]}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, default=str)
+        with pytest.raises(TypeError):
+            cli._write_json(str(path), bad)
 
 
 def test_run_subgradient_engine(table1_file, capsys):
@@ -360,11 +404,15 @@ def _exit_code(argv):
         (["gen", "--seed", "1", "--strong-fraction", "-0.1", "--output", "{out}"],
          "--strong-fraction"),
         (["verify", "--suite", "vcg", "--count", "0"], "--count"),
+        (["gen", "--seed", "1", "--epsilon", "-1", "--output", "{out}"], "--epsilon"),
+        (["gen", "--seed", "1", "--epsilon", "0", "--output", "{out}"], "--epsilon"),
+        (["gen", "--seed", "1", "--delta-steps", "-1", "--output", "{out}"], "--delta-steps"),
     ],
     ids=[
         "round-cap-0", "iterations-0", "at-round-999", "at-round-0", "at-round-negative",
         "economy-7", "economy-negative", "gamma-max-0", "multi-unit-agents-0", "multi-unit-supply-0",
         "strong-fraction-above-1", "strong-fraction-negative", "verify-count-0",
+        "epsilon-negative", "epsilon-0", "delta-steps-negative",
     ],
 )
 def test_out_of_range_option_exits_2_naming_it(table1_file, tmp_path, capsys, argv, option):

@@ -20,6 +20,7 @@ from uceauction.pricing import (
     envelope_price_by_size,
     initial_state,
     line_price,
+    offset_step_total,
     rho,
     rho_adjusted,
     state_to_dict,
@@ -154,7 +155,8 @@ def _one_economy_update(state, j, kappa, step):
 
 def test_one_call_equals_the_sequential_single_economy_updates():
     """Updating m economies in one call gives exactly the state of m
-    single-economy updates in a row, offsets in the same key order."""
+    single-economy updates in a row, offsets in the same key order, and moves
+    the offsets' sum by offset_step_total."""
     rng = random.Random(2026)
     zero_kappa = own_marginal = 0
     for n in range(1, 6):
@@ -191,6 +193,9 @@ def test_one_call_equals_the_sequential_single_economy_updates():
                         == list(reference.alpha.items())
                     )
                     assert one.delta == state.delta
+                    assert sum(one.alpha.values()) - sum(state.alpha.values()) == (
+                        offset_step_total(n, targets, kappa, step)
+                    )
     assert zero_kappa > 20 and own_marginal > 100
 
 

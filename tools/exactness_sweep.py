@@ -13,7 +13,11 @@ both trace files:
 
 - acceptance criterion 3's 200 instances;
 - the perfbench `wide-coarse` and `narrow-fine` seed-0 pools (each holds both
-  directions), in both update modes.
+  directions), in both update modes;
+- and, through `--engine linear|parallel` only, 30 seeded multi-unit markets
+  with a strong-unit bias delta > 0, so that adjusted marginals run through
+  zero and below it, with zero marginals and 20 to 40 units per bidder: many
+  breakpoints for the uniform-price clocks.
 
 And `subgradient.run_subgradient` (step 1/2) on the 8 `dual-small` markets of
 seeds 0 and 3, at 0, 1 and 200 iterations, hashing the log, the best
@@ -41,6 +45,7 @@ from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
 ENGINES = ("uce", "linear", "parallel")
+CLOCK_ENGINES = ("linear", "parallel")
 MODES = ("batch", "single")
 SUBGRADIENT_ITERATIONS = (0, 1, 200)
 
@@ -63,6 +68,32 @@ def criterion3_instances(generate):
         direction = ("ascending", "descending")[(idx // 4) % 2]
         instance = family(rng, direction=direction)
         yield "c3-%03d" % idx, dataclasses.replace(instance, update_mode=mode)
+
+
+def biased_multi_unit_markets(model):
+    """30 multi-unit markets with delta > 0 on three epsilon grids, both
+    directions.  Marginals are drawn from 0..24 or 0..200 epsilon-steps, so
+    some equal delta (zero adjusted marginal), some lie below it and trailing
+    zeros fall outside the consumption set; capacities are 20 to 40 units."""
+    rng = random.Random(2718)
+    for idx in range(30):
+        epsilon = (Fraction(1), Fraction(1, 2), Fraction(1, 10))[idx % 3]
+        delta = rng.randint(1, 6) * epsilon
+        span = rng.choice((24, 200))
+        agents = []
+        for _ in range(rng.randint(2, 4)):
+            units = rng.randint(20, 40)
+            steps = sorted((rng.randint(0, span) for _ in range(units)), reverse=True)
+            steps[0] = max(steps[0], 1)
+            agents.append(model.MultiUnitValuation(tuple(q * epsilon for q in steps)))
+        direction = ("ascending", "descending")[(idx // 3) % 2]
+        top = max(v.marginals[0] for v in agents)
+        instance = model.Instance(
+            agents=tuple(agents), K=rng.randint(4, 60), delta=delta, epsilon=epsilon,
+            p_init=Fraction(0) if direction == "ascending" else top + epsilon,
+            direction=direction,
+        )
+        yield "mu-%02d" % idx, instance
 
 
 def digest(parts) -> str:
@@ -102,13 +133,17 @@ def engine_hash(pkg, instance_path: str, engine: str, workdir: str) -> str:
 
 
 def auction_runs(pkg, workloads):
-    yield from criterion3_instances(pkg.generate)
+    """(label, instance, engines) of every auction run."""
+    for label, instance in criterion3_instances(pkg.generate):
+        yield label, instance, ENGINES
     for name in ("wide-coarse", "narrow-fine"):
         pool = workloads.build_pool(pkg, workloads.WORKLOADS[name], workloads.DEFAULT_SEED)
         for mode in MODES:
             for market in pool:
                 yield ("%s-%s-%s" % (name, market.id, mode),
-                       dataclasses.replace(market.instance, update_mode=mode))
+                       dataclasses.replace(market.instance, update_mode=mode), ENGINES)
+    for label, instance in biased_multi_unit_markets(pkg.model):
+        yield label, instance, CLOCK_ENGINES
 
 
 def subgradient_hash(pkg, instance, iterations: int) -> str:
@@ -130,10 +165,10 @@ def main(argv) -> int:
     pkg, workloads = import_checkout(root)
     with tempfile.TemporaryDirectory(prefix="exactness-") as workdir:
         instance_path = os.path.join(workdir, "instance.json")
-        for label, instance in auction_runs(pkg, workloads):
+        for label, instance, engines in auction_runs(pkg, workloads):
             with open(instance_path, "w", encoding="utf-8") as fh:
                 json.dump(pkg.model.instance_to_dict(instance), fh, indent=2, sort_keys=True)
-            for engine in ENGINES:
+            for engine in engines:
                 run_hash = engine_hash(pkg, instance_path, engine, workdir)
                 print("%s-%s %s" % (label, engine, run_hash), flush=True)
     dual = workloads.WORKLOADS["dual-small"]
