@@ -23,7 +23,6 @@ from .demand import (
 from .model import (
     Instance,
     NotUniversal,
-    ZERO_BUNDLE,
     economy_members,
     format_rational,
 )
@@ -206,7 +205,7 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
                 for j in range(0, n + 1):
                     record["updates"].append({"economy": j, "direction": "refine"})
                 continue
-            allocation = final_allocation(reports, instance.K, instance.adjusted_value)
+            allocation = final_allocation(reports, instance.K, values)
             payments = vcg_payments(tables, allocation)
             outcome = AuctionOutcome(
                 allocation=allocation,
@@ -309,34 +308,28 @@ def _refine_state(instance, state, values, reports):
     return state.replace(p=tuple(p), alpha=alpha)
 
 
-def _representatives(report, i, value_fn):
-    """(bundle, value) of agent i's best-valued demanded bundle of each
-    demanded size (ties: more strong units), largest size first.  Any other
-    demanded bundle of the same size is worth no more, so it cannot change
-    the selection below."""
-    best = {}
-    for k in report.maximizers:
-        key = (value_fn(i, k), k.ks)
-        if k.size not in best or key > best[k.size][0]:
-            best[k.size] = (key, k)
-    return [(best[size][1], best[size][0][0]) for size in sorted(best, reverse=True)]
-
-
-def final_allocation(reports, K, value_fn):
+def final_allocation(reports, K, values):
     """Select a supported allocation once the main economy balances: one
     demanded bundle per agent, total size <= K, maximizing total value (ties:
     larger total size, then earlier agents with larger bundles).
 
-    At supporting prices value splits into constant utility plus price, so
-    this choice is simultaneously efficient and revenue-maximal; greedier
-    unit-removal schemes can land on a demanded but revenue-deficient tuple.
+    values are the run's value tables.  Every demanded bundle of one size
+    attains the best adjusted value of that size, values[i][size], so each
+    demanded size stands for its first maximizer, the one with the most
+    strong units.  At supporting prices value splits into constant utility
+    plus price, so this choice is simultaneously efficient and
+    revenue-maximal; greedier unit-removal schemes can land on a demanded
+    but revenue-deficient tuple.
     """
     agents = sorted(reports)
     # best[u] = (value, choices) over the agents processed so far using
     # exactly u units; kappa_min choices guarantee feasibility at balance.
     best = {0: (ZERO, ())}
     for i in agents:
-        options = _representatives(reports[i], i, value_fn)
+        first = {}
+        for k in reports[i].maximizers:
+            first.setdefault(k.size, k)
+        options = [(first[size], values[i][size]) for size in sorted(first, reverse=True)]
         new = {}
         for used, (value, chosen) in best.items():
             for k, gain in options:
@@ -526,7 +519,7 @@ def _run_linear(instance, members, round_cap, values):
             rounds += 1
             queries += len(members)
             rows.append(_clock_row(rounds, p, low, high, diag))
-            allocation = final_allocation(reports, instance.K, instance.adjusted_value)
+            allocation = final_allocation(reports, instance.K, values)
             return {
                 "allocation": allocation,
                 "clearing_price": p,
@@ -605,15 +598,12 @@ def run_parallel_auction(instance: Instance, round_cap: int | None = None):
             raise
 
     welfare = {
-        j: sum(
-            (instance.adjusted_value(i, runs[j]["allocation"].get(i, ZERO_BUNDLE)) for i in economy_members(j, instance.n)),
-            ZERO,
-        )
+        j: sum((values[i][k.size] for i, k in runs[j]["allocation"].items()), ZERO)
         for j in range(0, instance.n + 1)
     }
     main_alloc = runs[0]["allocation"]
     payments = {
-        i: instance.adjusted_value(i, main_alloc.get(i, ZERO_BUNDLE)) - (welfare[0] - welfare[i])
+        i: values[i][main_alloc[i].size] - (welfare[0] - welfare[i])
         for i in range(1, instance.n + 1)
     }
     rounds = max(run["rounds"] for run in runs.values())

@@ -433,24 +433,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    market = dict(
+        seed=args.seed,
+        n=args.agents,
+        K=args.supply,
+        epsilon=args.epsilon,
+        gamma_max=args.gamma_max,
+        delta_steps=args.delta_steps,
+        direction=args.direction,
+        update_mode=args.update_mode,
+    )
+    if args.strong_fraction is not None:
+        if args.family == "multi_unit":
+            raise OptionError(
+                "argument --strong-fraction: not used by --family multi_unit, whose"
+                " bidders have no weak units"
+            )
+        market["strong_only_fraction"] = args.strong_fraction
     if args.family == "multi_unit":
-        rng = random.Random(args.seed)
-        inst = generate.random_multi_unit_instance(
-            rng, n_max=args.agents, K_max=args.supply,
-            update_mode=args.update_mode, direction=args.direction,
-        )
+        inst = generate.generate_multi_unit(**market)
     else:
-        inst = generate.generate_product_mix(
-            seed=args.seed,
-            n=args.agents,
-            K=args.supply,
-            epsilon=args.epsilon,
-            strong_only_fraction=args.strong_fraction,
-            gamma_max=args.gamma_max,
-            delta_steps=args.delta_steps,
-            direction=args.direction,
-            update_mode=args.update_mode,
-        )
+        inst = generate.generate_product_mix(**market)
     doc = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
     _write_text(args.output, doc)
     print("wrote %s (digest %s)" % (args.output, instance_digest(inst)))
@@ -595,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--agents", type=_bounded(int, 1), default=17)
     p_gen.add_argument("--supply", type=_bounded(int, 1), default=100)
     p_gen.add_argument("--epsilon", type=_positive_rational, default="1/100")
-    p_gen.add_argument("--strong-fraction", type=_bounded(float, 0, 1), default=0.2)
+    p_gen.add_argument("--strong-fraction", type=_bounded(float, 0, 1), default=None,
+                       help="product_mix: share of strong-only bidders (default 0.2)")
     p_gen.add_argument("--gamma-max", type=_bounded(int, 1), default=None)
     p_gen.add_argument("--delta-steps", type=_bounded(int, 0), default=0)
     p_gen.add_argument("--direction", choices=("ascending", "descending"),

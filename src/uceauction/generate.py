@@ -143,7 +143,40 @@ def generate_product_mix(
         agents[-1] = ProductMixValuation(
             v_w=grown.v_w, v_s=grown.v_s, gamma=grown.gamma + shortfall
         )
-    delta = delta_steps * epsilon
+    return _market(agents, K, delta_steps * epsilon, epsilon, direction, update_mode)
+
+
+def generate_multi_unit(
+    seed: int,
+    n: int,
+    K: int,
+    epsilon: Fraction = Fraction(1, 100),
+    value_steps_max: int = 600,
+    gamma_max: int | None = None,
+    delta_steps: int = 0,
+    direction: str = "ascending",
+    update_mode: str = "batch",
+) -> Instance:
+    """Synthetic multi-unit market: n bidders, supply K, non-increasing
+    marginals on the epsilon grid and at most gamma_max units per bidder.
+
+    Deterministic under the seed, like generate_product_mix.
+    """
+    if n < 1 or K < 1:
+        raise InstanceValidationError("n and K must be positive")
+    rng = random.Random(seed)
+    epsilon = Fraction(epsilon)
+    if gamma_max is None:
+        gamma_max = max(1, 2 * K // n)
+    agents = []
+    for _ in range(n):
+        units = rng.randint(max(1, gamma_max // 2), gamma_max)
+        steps = sorted((rng.randint(1, value_steps_max) for _ in range(units)), reverse=True)
+        agents.append(MultiUnitValuation(tuple(q * epsilon for q in steps)))
+    return _market(agents, K, delta_steps * epsilon, epsilon, direction, update_mode)
+
+
+def _market(agents, K, delta, epsilon, direction, update_mode) -> Instance:
     p_init = (
         Fraction(0) if direction == "ascending" else _descending_start(agents, epsilon)
     )

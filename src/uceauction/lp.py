@@ -12,18 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .demand import OVER_DEMAND, UNDER_DEMAND
 from .model import Bundle, Instance, economy_members, visible_economies
 from .pricing import EnvelopePriceState, envelope_argmin
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-DEFAULT_VARIABLE_CAP = 10**5
+# Size guards, read at call time: builders refuse a program before building
+# it, and solve gives up after this many pivots in one phase.
+VARIABLE_CAP = 10**5
 GENERAL_SIZE_CAP = 10**4
+ITERATION_LIMIT = 200000
 
 
 class InstanceTooLarge(ValueError):
-    """The requested program exceeds the configured size cap."""
+    """The requested program exceeds a size cap."""
 
 
 class IterationLimit(RuntimeError):
@@ -155,7 +159,7 @@ def check_optimal(lp: LinearProgram, result: SolveResult) -> bool:
 # row, so a pivot touches only the nonzero columns of the pivot row.
 # ---------------------------------------------------------------------------
 
-def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
+def solve(lp: LinearProgram) -> SolveResult:
     """Exact optimum, a vertex solution and a dual certificate, or
     infeasible/unbounded status."""
     columns = []  # (var name, sign) pairs; free vars split into +/- parts
@@ -166,62 +170,43 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
         if v.free:
             columns.append((v.name, -1))
 
-    minimize = lp.sense == "min"
-    c = [ZERO] * len(columns)
-    for name, coef in lp.objective.items():
-        coef = coef if minimize else -coef
-        idx = col_of[name]
-        c[idx] += coef
-        if columns[idx + 1 : idx + 2] and columns[idx + 1][0] == name:
-            c[idx + 1] -= coef
-
-    rows = []
-    rhs = []
-    rels = []
-    flipped = []
-    for con in lp.constraints:
+    def dense(coeffs, sign):
+        """sign * coeffs over the columns; a free variable's minus part
+        carries the negated coefficient."""
         row = [ZERO] * len(columns)
-        for name, coef in con.coeffs.items():
+        for name, coef in coeffs.items():
             idx = col_of[name]
-            row[idx] += coef
+            row[idx] += sign * coef
             if columns[idx + 1 : idx + 2] and columns[idx + 1][0] == name:
-                row[idx + 1] -= coef
-        b = con.rhs
-        rel = con.rel
-        flipped.append(b < 0)
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append(row)
-        rhs.append(b)
-        rels.append(rel)
+                row[idx + 1] -= sign * coef
+        return row
 
+    minimize = lp.sense == "min"
+    c = dense(lp.objective, ONE if minimize else -ONE)
+
+    # Rows are flipped to a non-negative right-hand side.  Columns: the
+    # structural ones, then row r's slack (+1), surplus (-1) or, for = rows,
+    # an empty column at n_struct + r, then one artificial per >= and = row
+    # in row order.  Artificials come last, so phase 2 scans n_struct + m.
     n_struct = len(columns)
-    m = len(rows)
-    # Slack/surplus columns, then artificials.  Row r's slack or surplus
-    # sits at n_struct + r; row_col[r] is the column whose final reduced
-    # cost gives row r's multiplier (the artificial for = rows).
-    artificial_cols = []
-    basis = []
-    for r in range(m):
-        for rr in range(m):
-            rows[rr].append(ONE if (rr == r and rels[r] == "<=") else (-ONE if (rr == r and rels[r] == ">=") else ZERO))
-    row_col = []
-    for r in range(m):
-        if rels[r] == "<=":
-            basis.append(n_struct + r)
-            row_col.append(n_struct + r)
-        else:
-            col = len(rows[0])
-            for rr in range(m):
-                rows[rr].append(ONE if rr == r else ZERO)
-            artificial_cols.append(col)
-            basis.append(col)
-            row_col.append(n_struct + r if rels[r] == ">=" else col)
-
-    width = len(rows[0])
-    tableau = [rows[r] + [rhs[r]] for r in range(m)]
+    m = len(lp.constraints)
+    flipped = [con.rhs < 0 for con in lp.constraints]
+    rels = [
+        {"<=": ">=", ">=": "<=", "=": "="}[con.rel] if flip else con.rel
+        for con, flip in zip(lp.constraints, flipped)
+    ]
+    arts = [r for r in range(m) if rels[r] != "<="]
+    art_col = {r: n_struct + m + t for t, r in enumerate(arts)}
+    unit = {"<=": ONE, ">=": -ONE, "=": ZERO}
+    tableau = [
+        dense(con.coeffs, -ONE if flip else ONE)
+        + [unit[rels[r]] if rr == r else ZERO for rr in range(m)]
+        + [ONE if rr == r else ZERO for rr in arts]
+        + [-con.rhs if flip else con.rhs]
+        for r, (con, flip) in enumerate(zip(lp.constraints, flipped))
+    ]
+    basis = [art_col.get(r, n_struct + r) for r in range(m)]
+    width = n_struct + m + len(arts)
     pivots = 0
 
     def reduced_cost_row(cost):
@@ -252,17 +237,11 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
         basis[r] = col
         return nonzero
 
-    def run_phase(z, allowed, budget):
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > budget:
-                raise IterationLimit("simplex exceeded %d iterations" % budget)
-            entering = None
-            for jj in range(width):
-                if allowed[jj] and z[jj] < 0:
-                    entering = jj
-                    break
+    def run_phase(z, scan):
+        """Pivot until no column below `scan` has a negative reduced cost;
+        returns z, or None when the entering column is unbounded."""
+        for _ in range(ITERATION_LIMIT):
+            entering = next((jj for jj in range(scan) if z[jj] < 0), None)
             if entering is None:
                 return z
             leaving = None
@@ -284,37 +263,22 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
             trow = tableau[leaving]
             for jj in pivot(leaving, entering):
                 z[jj] -= factor * trow[jj]
+        raise IterationLimit("simplex exceeded %d iterations" % ITERATION_LIMIT)
 
-    allowed = [True] * width
-
-    if artificial_cols:
-        phase1_cost = [ZERO] * width
-        for col in artificial_cols:
-            phase1_cost[col] = ONE
-        z = reduced_cost_row(phase1_cost)
-        z = run_phase(z, allowed, iteration_limit)
+    if arts:
+        z = run_phase(reduced_cost_row([ZERO] * (n_struct + m) + [ONE] * len(arts)), width)
         if z is None:
             raise IterationLimit("phase 1 reported unbounded; malformed program")
         if -z[width] > 0:
             return SolveResult(status="infeasible", pivots=pivots)
         # Drive artificials out of the basis where possible.
-        art_set = set(artificial_cols)
         for r in range(m):
-            if basis[r] in art_set:
-                target = None
-                for jj in range(width):
-                    if jj not in art_set and tableau[r][jj] != 0:
-                        target = jj
-                        break
+            if basis[r] >= n_struct + m:
+                target = next((jj for jj in range(n_struct + m) if tableau[r][jj] != 0), None)
                 if target is not None:
                     pivot(r, target)
-        for col in artificial_cols:
-            allowed[col] = False
 
-    z = reduced_cost_row(c)
-    for col in artificial_cols:
-        z[col] = ZERO if basis.count(col) else z[col]
-    z = run_phase(z, allowed, iteration_limit)
+    z = run_phase(reduced_cost_row(c), n_struct + m)
     if z is None:
         return SolveResult(status="unbounded", pivots=pivots)
 
@@ -327,10 +291,11 @@ def solve(lp: LinearProgram, iteration_limit: int = 200000) -> SolveResult:
     obj = objective_value(lp, solution)
     # z[col] = cost[col] - y.A[col] for the internal min problem, where the
     # slack of row r is +e_r, its surplus -e_r and its artificial +e_r (all
-    # of cost 0 in phase 2).  Undo the row flip and, for max, the cost sign.
+    # of cost 0 in phase 2); an = row reads its artificial.  Undo the row
+    # flip and, for max, the cost sign.
     dual = {}
     for r, con in enumerate(lp.constraints):
-        y = z[row_col[r]] if rels[r] == ">=" else -z[row_col[r]]
+        y = z[n_struct + r] if rels[r] == ">=" else -z[art_col.get(r, n_struct + r)]
         if flipped[r]:
             y = -y
         dual[con.name] = y if minimize else -y
@@ -345,16 +310,25 @@ def _bundle_tag(k: Bundle) -> str:
     return "w%ds%d" % (k.kw, k.ks)
 
 
-def _check_variable_cap(count, cap, what):
-    if count > cap:
-        raise InstanceTooLarge("%s needs %d variables, cap is %d" % (what, count, cap))
+def _check_variables(count, what):
+    if count > VARIABLE_CAP:
+        raise InstanceTooLarge("%s needs %d variables, cap is %d" % (what, count, VARIABLE_CAP))
 
 
-def build_ce_primal(instance: Instance, economy: int, variable_cap: int = DEFAULT_VARIABLE_CAP) -> LinearProgram:
+def _check_general_size(size):
+    """size is |bundles| x |allocations| x n, or a lower bound on it."""
+    if size > GENERAL_SIZE_CAP:
+        raise InstanceTooLarge(
+            "|bundles| x |allocations| x n is at least %d, over the cap of %d"
+            % (size, GENERAL_SIZE_CAP)
+        )
+
+
+def build_ce_primal(instance: Instance, economy: int) -> LinearProgram:
     """Efficient-allocation program of one economy over bias-adjusted values."""
     members = economy_members(economy, instance.n)
     count = sum(instance.valuation(i).bundle_count() for i in members)
-    _check_variable_cap(count, variable_cap, "allocation primal")
+    _check_variables(count, "allocation primal")
     lp = LinearProgram(name="ce_primal_e%d" % economy, sense="max")
     for i in members:
         for k in instance.valuation(i).bundles():
@@ -374,10 +348,10 @@ def build_ce_primal(instance: Instance, economy: int, variable_cap: int = DEFAUL
     return lp
 
 
-def build_ce_dual(instance: Instance, economy: int, variable_cap: int = DEFAULT_VARIABLE_CAP) -> LinearProgram:
+def build_ce_dual(instance: Instance, economy: int) -> LinearProgram:
     """Dual of the allocation program: agent utilities plus a unit price."""
     members = economy_members(economy, instance.n)
-    _check_variable_cap(len(members) + 1, variable_cap, "clearing-price dual")
+    _check_variables(len(members) + 1, "clearing-price dual")
     lp = LinearProgram(name="ce_dual_e%d" % economy, sense="min")
     lp.add_variable("p")
     lp.objective["p"] = Fraction(instance.K)
@@ -395,14 +369,14 @@ def build_ce_dual(instance: Instance, economy: int, variable_cap: int = DEFAULT_
     return lp
 
 
-def build_uce_dual(instance: Instance, variable_cap: int = DEFAULT_VARIABLE_CAP) -> LinearProgram:
+def build_uce_dual(instance: Instance) -> LinearProgram:
     """All-economies dual with per-agent envelope prices as free variables."""
     n = instance.n
     count = 0
     for j in range(0, n + 1):
         count += 2 * len(economy_members(j, n)) + 1
     count += sum(v.bundle_count() for v in instance.agents)
-    _check_variable_cap(count, variable_cap, "universal dual")
+    _check_variables(count, "universal dual")
 
     lp = LinearProgram(name="uce_dual", sense="min")
     for j in range(0, n + 1):
@@ -439,23 +413,15 @@ def build_uce_dual(instance: Instance, variable_cap: int = DEFAULT_VARIABLE_CAP)
     return lp
 
 
-def build_uce_primal(
-    instance: Instance,
-    tie_allocation_vars: bool = False,
-    variable_cap: int = DEFAULT_VARIABLE_CAP,
-) -> LinearProgram:
-    """All-economies allocation program with paired z/beta variables.
-
-    tie_allocation_vars adds z = beta equalities (the simplification used to
-    decompose the program per economy); the optimum must be unchanged.
-    """
+def build_uce_primal(instance: Instance) -> LinearProgram:
+    """All-economies allocation program with paired z/beta variables."""
     n = instance.n
     count = 2 * sum(
         instance.valuation(i).bundle_count()
         for j in range(0, n + 1)
         for i in economy_members(j, n)
     )
-    _check_variable_cap(count, variable_cap, "universal primal")
+    _check_variables(count, "universal primal")
 
     lp = LinearProgram(name="uce_primal", sense="max")
     for j in range(0, n + 1):
@@ -489,17 +455,6 @@ def build_uce_primal(
                 row["z_i%d_e%d_%s" % (i, j, tag)] = ONE
                 row["b_i%d_e%d_%s" % (i, j, tag)] = -ONE
             lp.add_constraint("match_i%d_%s" % (i, tag), row, "=", ZERO)
-    if tie_allocation_vars:
-        for j in range(0, n + 1):
-            for i in economy_members(j, n):
-                for k in instance.valuation(i).bundles():
-                    tag = _bundle_tag(k)
-                    lp.add_constraint(
-                        "tie_i%d_e%d_%s" % (i, j, tag),
-                        {"z_i%d_e%d_%s" % (i, j, tag): ONE, "b_i%d_e%d_%s" % (i, j, tag): -ONE},
-                        "=",
-                        ZERO,
-                    )
     return lp
 
 
@@ -553,41 +508,27 @@ def build_restricted_dual(
     return lp
 
 
-def over_demand_direction(instance: Instance, reports: dict, j: int) -> dict:
-    """Closed-form feasible restricted-dual point for an over-demanded economy."""
+def improving_direction(instance: Instance, reports: dict, j: int, diagnosis: str) -> dict:
+    """Closed-form feasible restricted-dual point for economy j, over- or
+    under-demanded: the price step.  Over-demand raises q_e[j] and reads
+    kappa_min, with r = min(|k|, kappa); under-demand is its mirror, with
+    signs flipped, kappa_max and r = -max(|k|, kappa)."""
+    if diagnosis not in (OVER_DEMAND, UNDER_DEMAND):
+        raise ValueError("no improving direction for a %r economy" % (diagnosis,))
+    over = diagnosis == OVER_DEMAND
+    sign = ONE if over else -ONE
+    bound = min if over else max
     n, K = instance.n, Fraction(instance.K)
+    kappa = {i: r.kappa_min if over else r.kappa_max for i, r in reports.items()}
     point = {}
     for ell in range(0, n + 1):
-        point["q_e%d" % ell] = ONE / K if ell == j else ZERO
+        point["q_e%d" % ell] = sign / K if ell == j else ZERO
         for i in economy_members(ell, n):
-            point["lam_i%d_e%d" % (i, ell)] = -Fraction(reports[i].kappa_min) / K
-            point["nu_i%d_e%d" % (i, ell)] = (
-                ZERO if ell == j else Fraction(reports[i].kappa_min) / K
-            )
+            point["lam_i%d_e%d" % (i, ell)] = -sign * kappa[i] / K
+            point["nu_i%d_e%d" % (i, ell)] = ZERO if ell == j else sign * kappa[i] / K
     for i in range(1, n + 1):
         for k in instance.valuation(i).bundles():
-            point["r_i%d_%s" % (i, _bundle_tag(k))] = (
-                Fraction(min(k.size, reports[i].kappa_min)) / K
-            )
-    return point
-
-
-def under_demand_direction(instance: Instance, reports: dict, j: int) -> dict:
-    """Mirror point for an under-demanded economy (signs flipped, kappa_max)."""
-    n, K = instance.n, Fraction(instance.K)
-    point = {}
-    for ell in range(0, n + 1):
-        point["q_e%d" % ell] = -ONE / K if ell == j else ZERO
-        for i in economy_members(ell, n):
-            point["lam_i%d_e%d" % (i, ell)] = Fraction(reports[i].kappa_max) / K
-            point["nu_i%d_e%d" % (i, ell)] = (
-                ZERO if ell == j else -Fraction(reports[i].kappa_max) / K
-            )
-    for i in range(1, n + 1):
-        for k in instance.valuation(i).bundles():
-            point["r_i%d_%s" % (i, _bundle_tag(k))] = (
-                -Fraction(max(k.size, reports[i].kappa_max)) / K
-            )
+            point["r_i%d_%s" % (i, _bundle_tag(k))] = sign * bound(k.size, kappa[i]) / K
     return point
 
 
@@ -626,13 +567,9 @@ class GeneralInstance:
         return self.values[(i, x)]
 
 
-def build_general_uce_lps(general: GeneralInstance, size_cap: int = GENERAL_SIZE_CAP):
+def build_general_uce_lps(general: GeneralInstance):
     """Universal primal and dual for a general instance; returns (primal, dual)."""
-    size = len(general.bundles) * len(general.allocations) * general.n
-    if size > size_cap:
-        raise InstanceTooLarge(
-            "|bundles| x |allocations| x n = %d exceeds cap %d" % (size, size_cap)
-        )
+    _check_general_size(len(general.bundles) * len(general.allocations) * general.n)
     n = general.n
 
     dual = LinearProgram(name="general_uce_dual", sense="min")
@@ -721,7 +658,10 @@ def build_general_uce_lps(general: GeneralInstance, size_cap: int = GENERAL_SIZE
 
 
 def encode_two_item_instance(instance: Instance) -> GeneralInstance:
-    """Re-express a two-item instance with explicit bundles and allocations."""
+    """Re-express a two-item instance with explicit bundles and allocations.
+
+    The size cap of build_general_uce_lps is checked as each allocation is
+    found, so an oversized instance fails without listing them all."""
     labels = {}
     values = {}
     empty = "w0s0"
@@ -739,6 +679,7 @@ def encode_two_item_instance(instance: Instance) -> GeneralInstance:
     def recurse(i, remaining, partial):
         if i > instance.n:
             allocations.append(tuple(partial))
+            _check_general_size(len(pool) * len(allocations) * instance.n)
             return
         for k in instance.valuation(i).bundles():
             if k.size <= remaining:

@@ -199,25 +199,25 @@ def test_final_allocation_handles_size_gaps():
         1: DemandReport(1, F(3), 1, 3, (Bundle(0, 1), Bundle(0, 3))),
         2: DemandReport(2, F(0), 3, 3, (Bundle(0, 3),)),
     }
-    allocation = final_allocation(reports, 4, lambda i, k: F(k.size))
+    values = {1: [F(0), F(1), F(2), F(3)], 2: [F(0), F(1), F(2), F(3)]}
+    allocation = final_allocation(reports, 4, values)
     assert allocation[1].size + allocation[2].size == 4
     assert allocation[1] in reports[1].maximizers
     assert allocation[2] in reports[2].maximizers
 
 
 def test_final_allocation_picks_best_bundle_of_each_size():
-    """Among demanded bundles of one size the higher-valued one wins, ties
-    to more strong units; and no fitting tuple is an error, not a guess."""
+    """Every demanded bundle of one size is worth that size's table value,
+    so ties go to more strong units; and no fitting tuple is an error, not a
+    guess."""
     reports = {
         1: DemandReport(1, F(0), 2, 2, (Bundle(0, 2), Bundle(1, 1), Bundle(2, 0))),
         2: DemandReport(2, F(0), 1, 2, (Bundle(0, 1), Bundle(1, 1))),
     }
-    flat = final_allocation(reports, 4, lambda i, k: F(k.size))
-    assert flat == {1: Bundle(0, 2), 2: Bundle(1, 1)}
-    weak = final_allocation(reports, 4, lambda i, k: F(k.size + k.kw))
-    assert weak == {1: Bundle(2, 0), 2: Bundle(1, 1)}
+    values = {1: [F(0), F(1), F(2)], 2: [F(0), F(1), F(2)]}
+    assert final_allocation(reports, 4, values) == {1: Bundle(0, 2), 2: Bundle(1, 1)}
     with pytest.raises(NoFeasibleSelection):
-        final_allocation(reports, 2, lambda i, k: F(k.size))
+        final_allocation(reports, 2, values)
 
 
 def test_balanced_but_unsupported_state_gets_repaired():

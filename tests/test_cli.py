@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,37 @@ def test_gen_smoke_runs_all_engines(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("gamma_max, units", [([], 3), (["--gamma-max", "2"], 2)])
+def test_gen_multi_unit_honours_its_options(tmp_path, capsys, gamma_max, units):
+    """Exactly --agents bidders and --supply units, on the --epsilon grid,
+    delta = --delta-steps * epsilon and at most --gamma-max units each (by
+    default 2 * supply // agents)."""
+    path = tmp_path / "mu.json"
+    assert main([
+        "gen", "--seed", "1", "--family", "multi_unit", "--epsilon", "1/2",
+        "--delta-steps", "3", "--agents", "3", "--supply", "5", "--output", str(path),
+    ] + gamma_max) == 0
+    capsys.readouterr()
+    inst = load_instance(path)
+    assert (inst.n, inst.K, inst.epsilon, inst.delta) == (3, 5, Fraction(1, 2), Fraction(3, 2))
+    assert all(isinstance(v, MultiUnitValuation) for v in inst.agents)
+    assert max(len(v.marginals) for v in inst.agents) <= units
+    for engine in ("uce", "linear", "parallel"):
+        assert main(["run", str(path), "--engine", engine]) == 0
+    capsys.readouterr()
+
+
+def test_lp_general_uce_on_a_large_market_exits_2_at_once(tmp_path, capsys):
+    """The default gen market has far too many allocations for the general
+    program; the size cap stops their enumeration early."""
+    path = tmp_path / "big.json"
+    assert main(["gen", "--seed", "7", "--output", str(path)]) == 0
+    start = time.perf_counter()
+    assert main(["lp", str(path), "--build", "general-uce"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "instance too large" in capsys.readouterr().err
+
+
 def test_lp_solve_uce_dual(table1_file, capsys):
     assert main(["lp", table1_file, "--build", "uce-dual", "--solve"]) == 0
     out = capsys.readouterr().out
@@ -407,12 +439,14 @@ def _exit_code(argv):
         (["gen", "--seed", "1", "--epsilon", "-1", "--output", "{out}"], "--epsilon"),
         (["gen", "--seed", "1", "--epsilon", "0", "--output", "{out}"], "--epsilon"),
         (["gen", "--seed", "1", "--delta-steps", "-1", "--output", "{out}"], "--delta-steps"),
+        (["gen", "--seed", "1", "--family", "multi_unit", "--strong-fraction", "0.5",
+          "--output", "{out}"], "--strong-fraction"),
     ],
     ids=[
         "round-cap-0", "iterations-0", "at-round-999", "at-round-0", "at-round-negative",
         "economy-7", "economy-negative", "gamma-max-0", "multi-unit-agents-0", "multi-unit-supply-0",
         "strong-fraction-above-1", "strong-fraction-negative", "verify-count-0",
-        "epsilon-negative", "epsilon-0", "delta-steps-negative",
+        "epsilon-negative", "epsilon-0", "delta-steps-negative", "multi-unit-strong-fraction",
     ],
 )
 def test_out_of_range_option_exits_2_naming_it(table1_file, tmp_path, capsys, argv, option):

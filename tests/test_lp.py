@@ -5,8 +5,8 @@ import pytest
 
 from uceauction import lp, oracle
 from uceauction.auction import run_uce_auction
-from uceauction.demand import demand_set
-from uceauction.model import Bundle, Instance, MultiUnitValuation
+from uceauction.demand import OVER_DEMAND, UNDER_DEMAND, demand_set
+from uceauction.model import Bundle, Instance, MultiUnitValuation, ProductMixValuation
 from uceauction.pricing import initial_state
 
 F = Fraction
@@ -178,7 +178,14 @@ def test_universal_primal_equals_economy_sum(table1):
 
 
 def test_tied_allocation_variables_do_not_change_optimum(table1):
-    tied = _solve(lp.build_uce_primal(table1, tie_allocation_vars=True))
+    """Adding z = beta equalities (the simplification that decomposes the
+    program per economy) leaves the optimum unchanged."""
+    prog = lp.build_uce_primal(table1)
+    for v in list(prog.variables):
+        if v.name.startswith("z_"):
+            tie = v.name[len("z_"):]
+            prog.add_constraint("tie_" + tie, {v.name: F(1), "b_" + tie: F(-1)}, "=", F(0))
+    tied = _solve(prog)
     assert tied.status == "optimal"
     assert tied.objective == F(91)
 
@@ -210,7 +217,7 @@ def test_over_demand_direction_is_feasible_and_improving(table1):
     state = initial_state(3, F(0))
     reports = _reports_at(table1, state)
     prog = lp.build_restricted_dual(table1, state, reports)
-    point = lp.over_demand_direction(table1, reports, 0)
+    point = lp.improving_direction(table1, reports, 0, OVER_DEMAND)
     assert lp.check_feasible(prog, point)
     assert lp.objective_value(prog, point) == F(-5, 4)
 
@@ -222,7 +229,7 @@ def test_under_demand_direction_is_feasible_and_improving(table1):
     # Everyone sits on the zero bundle at the opening price.
     assert all(r.kappa_max == 0 for r in reports.values())
     prog = lp.build_restricted_dual(inst, state, reports)
-    point = lp.under_demand_direction(inst, reports, 0)
+    point = lp.improving_direction(inst, reports, 0, UNDER_DEMAND)
     assert lp.check_feasible(prog, point)
     assert lp.objective_value(prog, point) < 0
 
@@ -310,10 +317,22 @@ def test_two_item_encoding_matches_bundle_spaces(table1):
     assert general.value(2, "w0s0") == F(0)
 
 
-def test_variable_cap_raises():
+def test_variable_cap_raises(monkeypatch):
     inst = Instance(
         agents=(MultiUnitValuation(tuple(F(10 - t) for t in range(10))),),
         K=10,
     )
+    monkeypatch.setattr(lp, "VARIABLE_CAP", 3)
     with pytest.raises(lp.InstanceTooLarge):
-        lp.build_uce_dual(inst, variable_cap=3)
+        lp.build_uce_dual(inst)
+
+
+def test_two_item_encoding_stops_at_the_size_cap():
+    """The general size cap is checked while the allocations are listed, so
+    an instance with astronomically many allocations fails at once."""
+    inst = Instance(
+        agents=tuple(ProductMixValuation(v_w=F(1), v_s=F(2), gamma=10) for _ in range(17)),
+        K=100,
+    )
+    with pytest.raises(lp.InstanceTooLarge, match="over the cap of 10000"):
+        lp.encode_two_item_instance(inst)

@@ -14,10 +14,18 @@ both trace files:
 - acceptance criterion 3's 200 instances;
 - the perfbench `wide-coarse` and `narrow-fine` seed-0 pools (each holds both
   directions), in both update modes;
+- 200 seeded product-mix markets on the tie face v_s - delta = v_w with
+  delta > 0, where every split of a demanded size is a maximizer, so the
+  final allocation's choice among them shows;
 - and, through `--engine linear|parallel` only, 30 seeded multi-unit markets
   with a strong-unit bias delta > 0, so that adjusted marginals run through
   zero and below it, with zero marginals and 20 to 40 units per bidder: many
   breakpoints for the uniform-price clocks.
+
+LP runs, each through `uceauction lp --build KIND --emit-lp --solve` for
+every build kind, on Table 1 and the `dual-small` seed-0 markets, hashing the
+exit code, stdout and the emitted text, and `lp.solve`'s status, objective,
+vertex, dual and pivot count on each emitted program.
 
 And `subgradient.run_subgradient` (step 1/2) on the 8 `dual-small` markets of
 seeds 0 and 3, at 0, 1 and 200 iterations, hashing the log, the best
@@ -52,7 +60,7 @@ SUBGRADIENT_ITERATIONS = (0, 1, 200)
 
 def import_checkout(root: Path):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    modules = ("cli", "generate", "model", "subgradient")
+    modules = ("cli", "generate", "lp", "model", "subgradient")
     pkg = SimpleNamespace(**{m: importlib.import_module("uceauction." + m) for m in modules})
     return pkg, importlib.import_module("workloads")
 
@@ -94,6 +102,42 @@ def biased_multi_unit_markets(model):
             direction=direction,
         )
         yield "mu-%02d" % idx, instance
+
+
+def tie_face_markets(model):
+    """200 product-mix markets whose bidders mostly sit on the tie face
+    v_s - delta = v_w (delta > 0), in both directions and update modes; the
+    rest value strong units strictly more, or only strong units."""
+    rng = random.Random(1618)
+    for idx in range(200):
+        epsilon = (Fraction(1), Fraction(1, 2), Fraction(1, 10))[idx % 3]
+        delta = rng.randint(1, 4) * epsilon
+        agents = []
+        for _ in range(rng.randint(2, 5)):
+            v_w = rng.randint(1, 12) * epsilon
+            kind = rng.random()
+            if kind < 0.7:
+                v_s = v_w + delta
+            elif kind < 0.85:
+                v_s = v_w + delta + rng.randint(1, 4) * epsilon
+            else:
+                v_w, v_s = Fraction(0), v_w + delta
+            agents.append(model.ProductMixValuation(v_w=v_w, v_s=v_s, gamma=rng.randint(1, 5)))
+        direction = ("ascending", "descending")[(idx // 2) % 2]
+        top = max(v.v_s for v in agents)
+        instance = model.Instance(
+            agents=tuple(agents), K=rng.randint(2, 12), delta=delta, epsilon=epsilon,
+            p_init=Fraction(0) if direction == "ascending" else top + epsilon,
+            direction=direction, update_mode=MODES[idx % 2],
+        )
+        yield "tie-%03d" % idx, instance
+
+
+def table1(model):
+    """The three-agent, four-unit worked example of the tests."""
+    marginals = ((8, 5, 4, 2), (7, 3, 2, 0), (6, 1, 0, 0))
+    agents = tuple(model.MultiUnitValuation(tuple(Fraction(m) for m in ms)) for ms in marginals)
+    return model.Instance(agents=agents, K=4)
 
 
 def digest(parts) -> str:
@@ -142,8 +186,46 @@ def auction_runs(pkg, workloads):
             for market in pool:
                 yield ("%s-%s-%s" % (name, market.id, mode),
                        dataclasses.replace(market.instance, update_mode=mode), ENGINES)
+    for label, instance in tie_face_markets(pkg.model):
+        yield label, instance, ENGINES
     for label, instance in biased_multi_unit_markets(pkg.model):
         yield label, instance, CLOCK_ENGINES
+
+
+def solve_parts(pkg, text: bytes):
+    """lp.solve's outcome on an emitted program, as hashable parts."""
+    result = pkg.lp.solve(pkg.lp.parse_lp_text(text.decode("utf-8")))
+    return [result.status, result.objective, result.pivots,
+            sorted((name, str(q)) for name, q in (result.solution or {}).items()),
+            sorted((name, str(q)) for name, q in (result.dual or {}).items())]
+
+
+def lp_hash(pkg, instance_path: str, build: str, workdir: str) -> str:
+    emitted = os.path.join(workdir, "program.lp")
+    argv = ["lp", instance_path, "--build", build, "--emit-lp", emitted, "--solve"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = pkg.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an escaped exception is an output too
+            code = "exception %s: %s" % (type(exc).__name__, exc)
+    parts = [code, stdout.getvalue()]
+    for path in (emitted, emitted + ".dual"):
+        text = read_or_missing(path)
+        parts.append(text)
+        if text != b"<missing>":
+            parts.extend(solve_parts(pkg, text))
+    # Paths in stdout name the work directory, which differs per run.
+    return digest(part.replace(workdir, "<dir>") if isinstance(part, str) else part
+                  for part in parts)
+
+
+def lp_markets(pkg, workloads):
+    yield "table1", table1(pkg.model)
+    for market in workloads.build_pool(pkg, workloads.WORKLOADS["dual-small"], 0):
+        yield "dual-small-seed0-%s" % market.id, market.instance
 
 
 def subgradient_hash(pkg, instance, iterations: int) -> str:
@@ -171,6 +253,12 @@ def main(argv) -> int:
             for engine in engines:
                 run_hash = engine_hash(pkg, instance_path, engine, workdir)
                 print("%s-%s %s" % (label, engine, run_hash), flush=True)
+        for label, instance in lp_markets(pkg, workloads):
+            with open(instance_path, "w", encoding="utf-8") as fh:
+                json.dump(pkg.model.instance_to_dict(instance), fh, indent=2, sort_keys=True)
+            for build in pkg.cli.BUILDS:
+                run_hash = lp_hash(pkg, instance_path, build, workdir)
+                print("lp-%s-%s %s" % (label, build, run_hash), flush=True)
     dual = workloads.WORKLOADS["dual-small"]
     for seed in (0, 3):
         for market in workloads.build_pool(pkg, dual, seed):
