@@ -599,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--supply", type=_bounded(int, 1), default=100)
     p_gen.add_argument("--epsilon", type=_positive_rational, default="1/100")
     p_gen.add_argument("--strong-fraction", type=_bounded(float, 0, 1), default=None,
-                       help="product_mix: share of strong-only bidders (default 0.2)")
+                       help="product_mix: share of strong-only bidders")
     p_gen.add_argument("--gamma-max", type=_bounded(int, 1), default=None)
     p_gen.add_argument("--delta-steps", type=_bounded(int, 0), default=0)
     p_gen.add_argument("--direction", choices=("ascending", "descending"),

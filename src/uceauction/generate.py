@@ -98,12 +98,16 @@ def random_product_mix_instance(
     )
 
 
+# Largest value, in epsilon steps, the synthetic generators draw by default.
+VALUE_STEPS_MAX = 600
+
+
 def generate_product_mix(
     seed: int,
     n: int,
     K: int,
     epsilon: Fraction = Fraction(1, 100),
-    value_steps_max: int = 600,
+    value_steps_max: int = VALUE_STEPS_MAX,
     strong_only_fraction: float = 0.2,
     gamma_max: int | None = None,
     delta_steps: int = 0,
@@ -116,18 +120,13 @@ def generate_product_mix(
     Deterministic under the seed; re-running with identical arguments yields a
     byte-identical instance file.
     """
-    if n < 1 or K < 1:
-        raise InstanceValidationError("n and K must be positive")
+    rng, epsilon, units = _opening(seed, n, K, epsilon, gamma_max)
     if value_steps_max < 2:
         raise InstanceValidationError("value_steps_max must be at least 2")
-    rng = random.Random(seed)
-    epsilon = Fraction(epsilon)
-    if gamma_max is None:
-        gamma_max = max(1, 2 * K // n)
     strong_only = max(0, min(n, round(strong_only_fraction * n)))
     agents = []
     for idx in range(n):
-        gamma = rng.randint(max(1, gamma_max // 2), gamma_max)
+        gamma = units()
         if idx < strong_only:
             v_w = Fraction(0)
             v_s = rng.randint(2, value_steps_max) * epsilon
@@ -151,7 +150,6 @@ def generate_multi_unit(
     n: int,
     K: int,
     epsilon: Fraction = Fraction(1, 100),
-    value_steps_max: int = 600,
     gamma_max: int | None = None,
     delta_steps: int = 0,
     direction: str = "ascending",
@@ -162,18 +160,23 @@ def generate_multi_unit(
 
     Deterministic under the seed, like generate_product_mix.
     """
-    if n < 1 or K < 1:
-        raise InstanceValidationError("n and K must be positive")
-    rng = random.Random(seed)
-    epsilon = Fraction(epsilon)
-    if gamma_max is None:
-        gamma_max = max(1, 2 * K // n)
+    rng, epsilon, units = _opening(seed, n, K, epsilon, gamma_max)
     agents = []
     for _ in range(n):
-        units = rng.randint(max(1, gamma_max // 2), gamma_max)
-        steps = sorted((rng.randint(1, value_steps_max) for _ in range(units)), reverse=True)
+        steps = sorted((rng.randint(1, VALUE_STEPS_MAX) for _ in range(units())), reverse=True)
         agents.append(MultiUnitValuation(tuple(q * epsilon for q in steps)))
     return _market(agents, K, delta_steps * epsilon, epsilon, direction, update_mode)
+
+
+def _opening(seed, n, K, epsilon, gamma_max):
+    """The seeded rng, epsilon as a Fraction, and a draw of one bidder's unit
+    count: between gamma_max // 2 and gamma_max, which defaults to 2K/n."""
+    if n < 1 or K < 1:
+        raise InstanceValidationError("n and K must be positive")
+    if gamma_max is None:
+        gamma_max = max(1, 2 * K // n)
+    rng = random.Random(seed)
+    return rng, Fraction(epsilon), lambda: rng.randint(max(1, gamma_max // 2), gamma_max)
 
 
 def _market(agents, K, delta, epsilon, direction, update_mode) -> Instance:

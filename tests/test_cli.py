@@ -6,7 +6,6 @@ import io
 import json
 import os
 import tempfile
-import time
 from fractions import Fraction
 
 import pytest
@@ -264,15 +263,25 @@ def test_gen_multi_unit_honours_its_options(tmp_path, capsys, gamma_max, units):
     capsys.readouterr()
 
 
-def test_lp_general_uce_on_a_large_market_exits_2_at_once(tmp_path, capsys):
+def test_lp_general_uce_on_a_large_market_exits_2_at_once(tmp_path, capsys, monkeypatch):
     """The default gen market has far too many allocations for the general
     program; the size cap stops their enumeration early."""
+    from uceauction import lp as lpmod
+
     path = tmp_path / "big.json"
     assert main(["gen", "--seed", "7", "--output", str(path)]) == 0
-    start = time.perf_counter()
+    listed = []
+    check = lpmod._check_general_size
+
+    def counted_check(size):
+        listed.append(size)
+        check(size)
+
+    monkeypatch.setattr(lpmod, "_check_general_size", counted_check)
     assert main(["lp", str(path), "--build", "general-uce"]) == 2
-    assert time.perf_counter() - start < 5
     assert "instance too large" in capsys.readouterr().err
+    # One check per allocation found: at most the cap's worth, not all of them.
+    assert 0 < len(listed) <= lpmod.GENERAL_SIZE_CAP
 
 
 def test_lp_solve_uce_dual(table1_file, capsys):
