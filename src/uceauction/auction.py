@@ -3,6 +3,12 @@
 Three engines share the instance format: the envelope-price engine (single
 price path, computes VCG payments), a uniform-price benchmark (no payments),
 and a parallel benchmark running one uniform-price auction per economy.
+
+Every engine computes on the epsilon-lattice.  Values, delta and p_init are
+whole multiples of epsilon (Instance.validate), clock prices move by epsilon
+and offsets by epsilon times a unit count, so each run scales its numbers once
+to Python ints in epsilon units (`lattice`) and turns them back into Fractions
+only for its outcome and its records.
 """
 from __future__ import annotations
 
@@ -19,12 +25,13 @@ from .demand import (
     demand_set,
     diagnose,
     economy_kappa_sums,
+    maximizer_face,
 )
 from .model import (
     Instance,
     NotUniversal,
     economy_members,
-    format_rational,
+    lattice_formatter,
 )
 from .pricing import (
     EnvelopePriceState,
@@ -35,8 +42,6 @@ from .pricing import (
     initial_state,
     offset_step_total,
 )
-
-ZERO = Fraction(0)
 
 
 class RoundLimitExceeded(RuntimeError):
@@ -52,9 +57,9 @@ class RoundLimitExceeded(RuntimeError):
 
 
 class OffLattice(RuntimeError):
-    """A clock price lies off the epsilon-lattice of the instance's values.
-    Instance.validate rules this out, so it is an invariant failure; the
-    engine never rounds to the lattice."""
+    """A value, delta or p_init of the instance is not a whole number of
+    epsilon steps.  Instance.validate rules this out, so it is an invariant
+    failure; the engines never round to the lattice."""
 
 
 class NoFeasibleSelection(RuntimeError):
@@ -79,14 +84,83 @@ class AuctionTrace:
     outcome: AuctionOutcome | None = None
 
 
-def default_round_cap(instance: Instance, values: dict) -> int:
+def _steps(q, unit, label: str) -> int:
+    """q as a whole number of unit steps; OffLattice when it is not one."""
+    steps = q / unit
+    if steps.denominator != 1:
+        raise OffLattice(
+            "%s = %s is not a whole number of epsilon = %s steps" % (label, q, unit)
+        )
+    return steps.numerator
+
+
+def value_tables(instance: Instance) -> dict:
+    """Every agent's best adjusted value per bundle size, in epsilon units,
+    built once per run and shared by the demand queries and the terminal
+    computations.  This is the engines' entry check: every value, delta and
+    p_init must be a whole number of epsilon steps (OffLattice otherwise), so
+    every entry, a sum of them, is an int."""
+    unit = instance.epsilon
+    for label, q in instance.lattice_numbers():
+        _steps(q, unit, label)
+    tables = {}
+    for i in range(1, instance.n + 1):
+        best = best_value_by_size(instance.valuation(i), instance.delta)
+        tables[i] = [(v / unit).numerator for v in best]
+    return tables
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """One run's numbers in epsilon units.
+
+    unit is epsilon; delta and p_init are ints; values holds value_tables and
+    faces each agent's maximizer_face, both fixed for the run.  fmt writes
+    k units as format_rational(k * unit) would, memoized.
+    """
+
+    unit: Fraction
+    delta: int
+    p_init: int
+    values: dict
+    faces: dict
+    fmt: object
+
+
+def lattice(instance: Instance) -> Lattice:
+    """The instance's numbers in epsilon units; OffLattice if one is not a
+    whole number of steps."""
+    unit = instance.epsilon
+    values = value_tables(instance)  # the entry check
+    return Lattice(
+        unit=unit,
+        delta=_steps(instance.delta, unit, "delta"),
+        p_init=_steps(instance.p_init, unit, "p_init"),
+        values=values,
+        faces={
+            i: maximizer_face(instance.valuation(i), instance.delta)
+            for i in range(1, instance.n + 1)
+        },
+        fmt=lattice_formatter(unit),
+    )
+
+
+def _real_state(state: EnvelopePriceState, unit: Fraction) -> EnvelopePriceState:
+    """A lattice price state in real units."""
+    return EnvelopePriceState(
+        n=state.n,
+        p=tuple([q * unit for q in state.p]),
+        alpha={key: q * unit for key, q in state.alpha.items()},
+        delta=state.delta * unit,
+    )
+
+
+def default_round_cap(instance: Instance, lat: Lattice) -> int:
     """(n+1)*K rounds per epsilon-step spanning the start price and the
-    highest adjusted bundle value, plus slack.  values is
-    value_tables(instance); each table holds the empty bundle's 0."""
-    best = max(max(table) for table in values.values())
-    span = max(best, instance.p_init)
-    steps = span / instance.epsilon
-    return (instance.n + 1) * instance.K * (int(steps) + 1) + 16
+    highest adjusted bundle value, plus slack.  Each value table holds the
+    empty bundle's 0."""
+    best = max(max(table) for table in lat.values.values())
+    return (instance.n + 1) * instance.K * (max(best, lat.p_init) + 1) + 16
 
 
 def settled(diag: str, price: Fraction) -> bool:
@@ -98,24 +172,15 @@ def settled(diag: str, price: Fraction) -> bool:
     return diag == BALANCED or (diag == UNDER_DEMAND and price == 0)
 
 
-def _report_row(reports):
+def _report_row(reports, fmt):
     return {
         i: {
             "kappa_min": r.kappa_min,
             "kappa_max": r.kappa_max,
-            "max_utility": format_rational(r.max_utility),
+            "max_utility": fmt(r.max_utility),
             "maximizer_extremes": [list(k) for k in (r.maximizers[:1] + r.maximizers[-1:])],
         }
         for i, r in sorted(reports.items())
-    }
-
-
-def value_tables(instance: Instance) -> dict:
-    """Every agent's best adjusted value per bundle size, built once per run
-    and shared by the demand queries and the terminal computations."""
-    return {
-        i: best_value_by_size(instance.valuation(i), instance.delta)
-        for i in range(1, instance.n + 1)
     }
 
 
@@ -129,14 +194,18 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
     index, over-demand first); "batch" updates all over-demanded economies
     (or, if none, all under-demanded ones).  Either way a round is one price
     step, applied by one update call that composes the economies' offset
-    increments in a single pass.
+    increments in a single pass.  The run computes in epsilon units.
     """
     n = instance.n
-    values = value_tables(instance)
-    cap = round_cap if round_cap is not None else default_round_cap(instance, values)
-    state = initial_state(n, instance.p_init, instance.delta)
+    lat = lattice(instance)
+    values, faces, unit, fmt = lat.values, lat.faces, lat.unit, lat.fmt
+    cap = round_cap if round_cap is not None else default_round_cap(instance, lat)
+    state = initial_state(n, lat.p_init, lat.delta)
+    # The record's offset keys, in order, and their labels.
+    offset_keys = sorted(state.alpha)
+    offset_labels = ["%d,%d" % key for key in offset_keys]
     # sum(state.alpha.values()), kept step by step in O(n) per round.
-    alpha_sum = sum(state.alpha.values(), ZERO)
+    alpha_sum = 0
     trace = AuctionTrace()
     cleared_round: dict = {}
     settled_now: set = set()
@@ -146,7 +215,7 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
     while rounds < cap:
         rounds += 1
         reports = {
-            i: demand_set(instance.valuation(i), state, i, values[i])
+            i: demand_set(instance.valuation(i), state, i, values[i], faces[i], unit)
             for i in range(1, n + 1)
         }
         queries += n
@@ -162,11 +231,11 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
 
         record = {
             "round": rounds,
-            "p": [format_rational(q) for q in state.p],
+            "p": [fmt(q) for q in state.p],
             "alpha": {
-                "%d,%d" % key: format_rational(val) for key, val in sorted(state.alpha.items())
+                label: fmt(state.alpha[key]) for label, key in zip(offset_labels, offset_keys)
             },
-            "reports": _report_row(reports),
+            "reports": _report_row(reports, fmt),
             "kappa_sums": sums,
             "diagnosis": diagnosis,
             # The objective of the normalized state.  Normalizing agent i
@@ -174,7 +243,7 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
             # up by as much, so it is the raw sum with pi at the raw max
             # utility, unclamped; after normalization the zero bundle costs
             # 0, so that pi is feasible.
-            "dual_objective": format_rational(dual_objective(
+            "dual_objective": fmt(dual_objective(
                 instance.K, [r.max_utility for r in reports.values()], state.p, (alpha_sum,)
             )),
             "updates": [],
@@ -190,8 +259,7 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
                 # not span a contiguous range).  Take one exact descent
                 # step and keep going.
                 witness = {
-                    j: {key: format_rational(q) for key, q in w.items()}
-                    for j, w in witness.items()
+                    j: {key: fmt(q) for key, q in w.items()} for j, w in witness.items()
                 }
                 refined = _refine_state(instance, state, values, reports)
                 if refined is None:
@@ -200,7 +268,7 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
                         " improving direction exists: %s" % witness
                     )
                 state = refined
-                alpha_sum = sum(state.alpha.values(), ZERO)
+                alpha_sum = sum(state.alpha.values())
                 record["witness"] = witness
                 for j in range(0, n + 1):
                     record["updates"].append({"economy": j, "direction": "refine"})
@@ -209,8 +277,8 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
             payments = vcg_payments(tables, allocation)
             outcome = AuctionOutcome(
                 allocation=allocation,
-                payments=payments,
-                final_state=state,
+                payments={i: q * unit for i, q in payments.items()},
+                final_state=_real_state(state, unit),
                 rounds=rounds,
                 queries=queries,
                 cleared_round=dict(cleared_round),
@@ -229,14 +297,15 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
         kind, targets = (OVER_DEMAND, over) if over else (UNDER_DEMAND, under)
         if instance.update_mode == "single":
             targets = targets[:1]
+        # One epsilon step is one unit.
         if kind == OVER_DEMAND:
             kappa = {i: reports[i].kappa_min for i in range(1, n + 1)}
-            state = apply_over_demand_update(state, targets, kappa, instance.epsilon)
-            step = instance.epsilon
+            state = apply_over_demand_update(state, targets, kappa, 1)
+            step = 1
         else:
             kappa = {i: reports[i].kappa_max for i in range(1, n + 1)}
-            state = apply_under_demand_update(state, targets, kappa, instance.epsilon)
-            step = -instance.epsilon
+            state = apply_under_demand_update(state, targets, kappa, 1)
+            step = -1
         alpha_sum += offset_step_total(n, targets, kappa, step)
         record["updates"].extend({"economy": j, "direction": kind} for j in targets)
 
@@ -260,8 +329,8 @@ def _uniform_clearing_price(instance, economy, values):
             pool.append(best[size] - best[size - 1])
     pool.sort(reverse=True)
     if len(pool) <= instance.K:
-        return ZERO
-    return max(pool[instance.K], ZERO)
+        return 0
+    return max(pool[instance.K], 0)
 
 
 def _refine_state(instance, state, values, reports):
@@ -301,7 +370,7 @@ def _refine_state(instance, state, values, reports):
         floors.append(floor)
         for j, u in utility.items():
             alpha[(i, j)] = u - floor
-    pi = [max(r.max_utility, ZERO) for r in reports.values()]
+    pi = [max(r.max_utility, 0) for r in reports.values()]
     current = dual_objective(instance.K, pi, state.p, state.alpha.values())
     if dual_objective(instance.K, floors, p, alpha.values()) >= current:
         return None
@@ -324,7 +393,7 @@ def final_allocation(reports, K, values):
     agents = sorted(reports)
     # best[u] = (value, choices) over the agents processed so far using
     # exactly u units; kappa_min choices guarantee feasibility at balance.
-    best = {0: (ZERO, ())}
+    best = {0: (0, ())}
     for i in agents:
         first = {}
         for k in reports[i].maximizers:
@@ -369,10 +438,10 @@ def _economy_optima(per_agent, K):
     economy i joins prefix i-1 and suffix i+1 in one O(K) pass.
     """
     n = len(per_agent)
-    prefix = [[ZERO] * (K + 1)]
+    prefix = [[0] * (K + 1)]
     for i in range(1, n + 1):
         prefix.append(_merge(prefix[-1], per_agent[i], K))
-    suffix = [[ZERO] * (K + 1)]
+    suffix = [[0] * (K + 1)]
     for i in range(n, 0, -1):
         suffix.append(_merge(suffix[-1], per_agent[i], K))
     suffix.reverse()  # suffix[t] covers agents t+1..n
@@ -389,7 +458,8 @@ class TerminalTables:
 
     prices[i][s] is agent i's adjusted envelope price of a size-s bundle;
     welfare[j], revenue[j] and utility_sum[j] are economy j's efficient
-    value, revenue optimum and the sum of its members' indirect utilities.
+    value, revenue optimum and the sum of its members' indirect utilities,
+    all in the units of the state and values they were computed from.
     """
 
     prices: dict
@@ -420,14 +490,15 @@ class TerminalTables:
 def terminal_tables(instance, state, values) -> TerminalTables:
     """Certification and payment data for every economy at one price state,
     in O(n*K*gamma) exact steps (gamma: the largest agent capacity).
-    values is the run's value_tables(instance).
+    values are the agents' best value tables in the state's units: the run's
+    value_tables(instance) for a state in epsilon units.
     """
     n = instance.n
     prices, utility = {}, {}
     for i in range(1, n + 1):
         prices[i] = envelope_price_by_size(state, i, len(values[i]) - 1)
         utility[i] = max(v - p for v, p in zip(values[i], prices[i]))
-    total = sum(utility.values(), ZERO)
+    total = sum(utility.values())
     return TerminalTables(
         prices=prices,
         welfare=_economy_optima(values, instance.K),
@@ -441,7 +512,7 @@ def vcg_payments(tables: TerminalTables, allocation):
     of its marginal economy minus the revenue the others generate under the
     final allocation."""
     revenue = {i: tables.prices[i][allocation[i].size] for i in tables.prices}
-    total = sum(revenue.values(), ZERO)
+    total = sum(revenue.values())
     return {i: tables.revenue[i] - (total - revenue[i]) for i in tables.prices}
 
 
@@ -461,11 +532,12 @@ def _clock_breakpoints(members, values):
     })
 
 
-def _run_length(breaks, p, diag, epsilon):
-    """Rounds the clock takes from p, stepping epsilon in the direction of
-    diag, before it reaches the next breakpoint (or 0, descending).  Every
-    price it passes lies strictly between two neighbouring breakpoints, as p
-    does, so all of them give p's reports.  A breakpoint is a run of one."""
+def _run_length(breaks, p, diag):
+    """Rounds the clock takes from p, stepping one epsilon unit in the
+    direction of diag, before it reaches the next breakpoint (or 0,
+    descending).  Every price it passes lies strictly between two
+    neighbouring breakpoints, as p does, so all of them give p's reports.  A
+    breakpoint is a run of one."""
     at = bisect_left(breaks, p)
     if at < len(breaks) and breaks[at] == p:
         return 1
@@ -473,28 +545,24 @@ def _run_length(breaks, p, diag, epsilon):
         # Above every breakpoint nothing is demanded, so one lies above p.
         target = breaks[at]
     else:
-        target = max(breaks[at - 1], ZERO) if at else ZERO
-    steps = abs(target - p) / epsilon
-    if steps.denominator != 1:
-        raise OffLattice(
-            "clock price %s is not a whole number of epsilon = %s steps from %s"
-            % (p, epsilon, target)
-        )
-    return int(steps)
+        target = max(breaks[at - 1], 0) if at else 0
+    return abs(target - p)
 
 
 def _clock_row(round_, p, low, high, diag):
+    """A clock row; p is the round's price, already written."""
     return {
         "round": round_,
-        "p": format_rational(p),
+        "p": p,
         "sum_kappa_min": low,
         "sum_kappa_max": high,
         "diagnosis": diag,
     }
 
 
-def _run_linear(instance, members, round_cap, values):
-    """Uniform-price clock on a subset of agents; returns per-run summary.
+def _run_linear(instance, members, round_cap, lat):
+    """Uniform-price clock on a subset of agents; returns per-run summary,
+    its clearing price in epsilon units.
 
     The clock is event-driven: it queries the members once per run of
     rounds whose reports are identical (see _run_length) and appends the
@@ -502,14 +570,17 @@ def _run_linear(instance, members, round_cap, values):
     if it queried every epsilon step.  It settles only at a run's first
     round, where the reports were queried at that round's own price.
     """
+    values, faces, fmt = lat.values, lat.faces, lat.fmt
     breaks = _clock_breakpoints(members, values)
-    p = instance.p_init
+    p = lat.p_init
     rounds = 0
     queries = 0
     rows = []
     while rounds < round_cap:
         reports = {
-            i: demand_at_linear_price(instance.valuation(i), i, p, instance.delta, values[i])
+            i: demand_at_linear_price(
+                instance.valuation(i), i, p, lat.delta, values[i], faces[i], lat.unit
+            )
             for i in members
         }
         low = sum(r.kappa_min for r in reports.values())
@@ -518,7 +589,7 @@ def _run_linear(instance, members, round_cap, values):
         if settled(diag, p):
             rounds += 1
             queries += len(members)
-            rows.append(_clock_row(rounds, p, low, high, diag))
+            rows.append(_clock_row(rounds, fmt(p), low, high, diag))
             allocation = final_allocation(reports, instance.K, values)
             return {
                 "allocation": allocation,
@@ -527,14 +598,14 @@ def _run_linear(instance, members, round_cap, values):
                 "queries": queries,
                 "rows": rows,
             }
-        length = min(_run_length(breaks, p, diag, instance.epsilon), round_cap - rounds)
+        length = min(_run_length(breaks, p, diag), round_cap - rounds)
         if _MAX_JUMP is not None:
             length = min(length, _MAX_JUMP)
-        step = instance.epsilon if diag == OVER_DEMAND else -instance.epsilon
+        step = 1 if diag == OVER_DEMAND else -1
         queries += length * len(members)
         for _ in range(length):
             rounds += 1
-            rows.append(_clock_row(rounds, p, low, high, diag))
+            rows.append(_clock_row(rounds, fmt(p), low, high, diag))
             p += step
     raise RoundLimitExceeded(
         "linear auction: no termination within %d rounds" % round_cap,
@@ -544,10 +615,10 @@ def _run_linear(instance, members, round_cap, values):
 
 def run_linear_auction(instance: Instance, round_cap: int | None = None):
     """Uniform-price benchmark on the main economy; elicits no payment data."""
-    values = value_tables(instance)
-    cap = round_cap if round_cap is not None else default_round_cap(instance, values)
+    lat = lattice(instance)
+    cap = round_cap if round_cap is not None else default_round_cap(instance, lat)
     try:
-        run = _run_linear(instance, economy_members(0, instance.n), cap, values)
+        run = _run_linear(instance, economy_members(0, instance.n), cap, lat)
     except RoundLimitExceeded as exc:
         exc.trace.records = [dict(row, economy=0) for row in exc.trace.records]
         raise
@@ -558,7 +629,7 @@ def run_linear_auction(instance: Instance, round_cap: int | None = None):
         rounds=run["rounds"],
         queries=run["queries"],
         cleared_round={0: run["rounds"]},
-        details={"clearing_price": format_rational(run["clearing_price"])},
+        details={"clearing_price": lat.fmt(run["clearing_price"])},
     )
     trace = AuctionTrace(records=[dict(row, economy=0) for row in run["rows"]], outcome=outcome)
     return outcome, trace
@@ -584,12 +655,13 @@ def run_parallel_auction(instance: Instance, round_cap: int | None = None):
     Rounds are the maximum across the parallel runs; queries are summed.
     Payments come from comparing the main and marginal clearing outcomes.
     """
-    values = value_tables(instance)
-    cap = round_cap if round_cap is not None else default_round_cap(instance, values)
+    lat = lattice(instance)
+    values = lat.values
+    cap = round_cap if round_cap is not None else default_round_cap(instance, lat)
     runs = {}
     for j in range(0, instance.n + 1):
         try:
-            runs[j] = _run_linear(instance, economy_members(j, instance.n), cap, values)
+            runs[j] = _run_linear(instance, economy_members(j, instance.n), cap, lat)
         except RoundLimitExceeded as exc:
             # Economies after j never started; the trace ends with j's rows.
             rows = {ell: run["rows"] for ell, run in runs.items()}
@@ -598,12 +670,12 @@ def run_parallel_auction(instance: Instance, round_cap: int | None = None):
             raise
 
     welfare = {
-        j: sum((values[i][k.size] for i, k in runs[j]["allocation"].items()), ZERO)
+        j: sum(values[i][k.size] for i, k in runs[j]["allocation"].items())
         for j in range(0, instance.n + 1)
     }
     main_alloc = runs[0]["allocation"]
     payments = {
-        i: values[i][main_alloc[i].size] - (welfare[0] - welfare[i])
+        i: (values[i][main_alloc[i].size] - (welfare[0] - welfare[i])) * lat.unit
         for i in range(1, instance.n + 1)
     }
     rounds = max(run["rounds"] for run in runs.values())
@@ -619,7 +691,7 @@ def run_parallel_auction(instance: Instance, round_cap: int | None = None):
         cleared_round={j: run["rounds"] for j, run in runs.items()},
         details={
             "clearing_prices": {
-                j: format_rational(run["clearing_price"]) for j, run in runs.items()
+                j: lat.fmt(run["clearing_price"]) for j, run in runs.items()
             },
             "rounds_per_economy": {j: run["rounds"] for j, run in runs.items()},
         },

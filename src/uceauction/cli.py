@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import itertools
 import json
 import os
@@ -32,6 +31,16 @@ from .model import (
 )
 from .pricing import EnvelopePriceState
 
+# The interpreter's builtin SHA-256; hashlib would load OpenSSL's libcrypto
+# for one digest per run.
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
@@ -46,7 +55,7 @@ class OptionError(ValueError):
 
 def instance_digest(inst: Instance) -> str:
     canonical = json.dumps(instance_to_dict(inst), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()[:16]
+    return sha256(canonical).hexdigest()[:16]
 
 
 @contextlib.contextmanager
@@ -495,11 +504,7 @@ def cmd_lp(args) -> int:
             "argument --economy: must be at most %d, the number of agents, got %d"
             % (inst.n, args.economy)
         )
-    try:
-        programs = _build_program(inst, args)
-    except lp.InstanceTooLarge as exc:
-        print("instance too large: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
+    programs = _build_program(inst, args)
     if args.emit_lp:
         paths = (
             [args.emit_lp]
@@ -627,6 +632,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InstanceValidationError as exc:
         print("invalid instance: %s" % exc, file=sys.stderr)
+        return EXIT_VALIDATION
+    except lp.InstanceTooLarge as exc:
+        print("instance too large: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     except OptionError as exc:  # worded as argparse words its own errors
         print("%s %s: error: %s" % (parser.prog, args.command, exc), file=sys.stderr)

@@ -7,7 +7,9 @@ two tables over sizes 0..capacity: the best adjusted value of each size (in
 closed form per valuation family) and the per-size price.  The demanded sizes
 are those where their difference peaks, and the maximizers are the bundles of
 those sizes that attain the best value.  Ties are resolved by exact rational
-equality only; there is no tolerance parameter anywhere.
+equality only; there is no tolerance parameter anywhere.  Every function
+computes in the exact numbers it is given: Fractions in real units, or the
+engines' integer multiples of epsilon.
 """
 from __future__ import annotations
 
@@ -20,11 +22,14 @@ from .pricing import EnvelopePriceState, envelope_price_by_size, line_by_size
 
 log = logging.getLogger(__name__)
 
-ZERO = Fraction(0)
-
 BALANCED = "balanced"
 OVER_DEMAND = "over"
 UNDER_DEMAND = "under"
+
+# Maximizer faces: which bundles of a demanded size attain its best value.
+STRONG_RAY = "strong"
+WEAK_RAY = "weak"
+EVERY_SPLIT = "split"
 
 # Multi-unit maximizer-size contiguity is verified, not assumed; violations
 # are recorded here (and logged) instead of silently accepted.
@@ -40,7 +45,22 @@ class DemandReport:
     maximizers: tuple  # every utility-maximizing bundle, in (kw, ks) order
 
 
-def best_value_by_size(valuation: Valuation, delta: Fraction = ZERO) -> list:
+def maximizer_face(valuation: Valuation, delta: Fraction = 0) -> str:
+    """Which bundles of a size attain its best bias-adjusted value: only the
+    pure-strong one (multi-unit bidders, bidders without weak units, and
+    v_s - delta > v_w), only the pure-weak one (v_s - delta < v_w), or on the
+    tie every split.  Fixed for a run, so the engines compute it once."""
+    if isinstance(valuation, MultiUnitValuation) or valuation.v_w == 0:
+        return STRONG_RAY
+    strong = valuation.v_s - delta
+    if strong > valuation.v_w:
+        return STRONG_RAY
+    if strong < valuation.v_w:
+        return WEAK_RAY
+    return EVERY_SPLIT
+
+
+def best_value_by_size(valuation: Valuation, delta: Fraction = 0) -> list:
     """Best bias-adjusted value of a bundle of each size 0..capacity.
 
     Multi-unit: prefix sums of the marginals, less delta per unit.
@@ -48,7 +68,7 @@ def best_value_by_size(valuation: Valuation, delta: Fraction = ZERO) -> list:
     v_s - delta alone when weak units are outside the consumption set.
     """
     if isinstance(valuation, MultiUnitValuation):
-        values = [ZERO]
+        values = [0]
         for m in valuation.marginals[: valuation.capacity]:
             values.append(values[-1] + m - delta)
         return values
@@ -58,28 +78,26 @@ def best_value_by_size(valuation: Valuation, delta: Fraction = ZERO) -> list:
     return [s * unit for s in range(valuation.gamma + 1)]
 
 
-def _maximizers(valuation: Valuation, sizes: list, delta: Fraction) -> tuple:
-    """The bundles of the demanded sizes that attain the best adjusted value,
-    sorted: the strong ray, the weak ray, or on a tie every split."""
-    if isinstance(valuation, MultiUnitValuation) or valuation.v_w == 0:
-        return tuple(Bundle(0, s) for s in sizes)
-    strong = valuation.v_s - delta
-    if strong > valuation.v_w:
-        return tuple(Bundle(0, s) for s in sizes)
-    if strong < valuation.v_w:
-        return tuple(Bundle(s, 0) for s in sizes)
+def _maximizers(face: str, sizes: list) -> tuple:
+    """The bundles of the demanded sizes on the agent's maximizer face,
+    sorted."""
+    if face == STRONG_RAY:
+        return tuple([Bundle(0, s) for s in sizes])
+    if face == WEAK_RAY:
+        return tuple([Bundle(s, 0) for s in sizes])
     return tuple(sorted(Bundle(s - ks, ks) for s in sizes for ks in range(s + 1)))
 
 
-def _check_contiguity(agent, sizes, valuation, prices, delta):
+def _check_contiguity(agent, sizes, valuation, prices, delta, unit):
     if all(b - a <= 1 for a, b in zip(sizes, sizes[1:])):
         return
     record = {
         "agent": agent,
         "sizes": list(sizes),
         "marginals": [str(m) for m in valuation.marginals],
-        # Quoted prices of the pure-strong bundles, bias included.
-        "prices": [str(price + s * delta) for s, price in enumerate(prices)],
+        # Quoted prices of the pure-strong bundles, bias included, in real
+        # units.
+        "prices": [str((price + s * delta) * unit) for s, price in enumerate(prices)],
     }
     contiguity_counterexamples.append(record)
     log.warning("multi-unit demand sizes not contiguous: %s", record)
@@ -90,25 +108,32 @@ def demand_from_size_tables(
     agent: int,
     values: list,
     prices: list,
-    delta: Fraction = ZERO,
+    delta: Fraction = 0,
+    face: str | None = None,
+    unit: Fraction = 1,
 ) -> DemandReport:
     """Demand report from the best adjusted value and the adjusted price of
     each size 0..capacity.
 
-    delta is the strong-unit bias, which picks the maximizers within a size
-    and restores the quoted prices the contiguity monitor records.
+    delta is the strong-unit bias, which restores the quoted prices the
+    contiguity monitor records.  face is the agent's maximizer_face at that
+    bias (computed here when not given).  unit is the real value of one unit
+    of the numbers given (1 for real-unit Fractions), so the contiguity
+    record is written in real units.
     """
     utilities = [v - p for v, p in zip(values, prices)]
     best = max(utilities)
     sizes = [s for s, u in enumerate(utilities) if u == best]
     if isinstance(valuation, MultiUnitValuation):
-        _check_contiguity(agent, sizes, valuation, prices, delta)
+        _check_contiguity(agent, sizes, valuation, prices, delta, unit)
+    if face is None:
+        face = maximizer_face(valuation, delta)
     return DemandReport(
         agent=agent,
         max_utility=best,
         kappa_min=sizes[0],
         kappa_max=sizes[-1],
-        maximizers=_maximizers(valuation, sizes, delta),
+        maximizers=_maximizers(face, sizes),
     )
 
 
@@ -117,16 +142,19 @@ def demand_set(
     state: EnvelopePriceState,
     agent: int,
     values: list | None = None,
+    face: str | None = None,
+    unit: Fraction = 1,
 ) -> DemandReport:
     """Demand report of one agent against the current envelope prices.
 
-    values is the agent's best_value_by_size table at the state's delta;
-    engines build it once per run and pass it in.
+    values is the agent's best_value_by_size table at the state's delta and
+    face its maximizer_face, in the state's units; engines build both once
+    per run and pass them in, with the real value of their unit.
     """
     if values is None:
         values = best_value_by_size(valuation, state.delta)
     prices = envelope_price_by_size(state, agent, valuation.capacity)
-    return demand_from_size_tables(valuation, agent, values, prices, state.delta)
+    return demand_from_size_tables(valuation, agent, values, prices, state.delta, face, unit)
 
 
 def demand_at_linear_price(
@@ -135,13 +163,16 @@ def demand_at_linear_price(
     p: Fraction,
     delta: Fraction,
     values: list | None = None,
+    face: str | None = None,
+    unit: Fraction = 1,
 ) -> DemandReport:
     """Demand report at uniform prices: p per weak unit, p + delta per strong
-    unit, which is s * p per size in adjusted terms."""
+    unit, which is s * p per size in adjusted terms.  values, face and unit
+    are as for demand_set."""
     if values is None:
         values = best_value_by_size(valuation, delta)
-    prices = line_by_size(p, ZERO, valuation.capacity)
-    return demand_from_size_tables(valuation, agent, values, prices, delta)
+    prices = line_by_size(p, 0, valuation.capacity)
+    return demand_from_size_tables(valuation, agent, values, prices, delta, face, unit)
 
 
 def economy_kappa_sums(reports: dict) -> dict:

@@ -20,9 +20,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Size guards, read at call time: builders refuse a program before building
-# it, and solve gives up after this many pivots in one phase.
+# it, solve refuses one whose variables times constraints exceed
+# TABLEAU_CAP before it builds the tableau, and gives up after
+# ITERATION_LIMIT pivots in one phase.
 VARIABLE_CAP = 10**5
 GENERAL_SIZE_CAP = 10**4
+TABLEAU_CAP = 10**6
 ITERATION_LIMIT = 200000
 
 
@@ -162,6 +165,12 @@ def check_optimal(lp: LinearProgram, result: SolveResult) -> bool:
 def solve(lp: LinearProgram) -> SolveResult:
     """Exact optimum, a vertex solution and a dual certificate, or
     infeasible/unbounded status."""
+    cells = len(lp.variables) * len(lp.constraints)
+    if cells > TABLEAU_CAP:
+        raise InstanceTooLarge(
+            "%s has %d variables x %d constraints = %d tableau cells, cap is %d"
+            % (lp.name, len(lp.variables), len(lp.constraints), cells, TABLEAU_CAP)
+        )
     columns = []  # (var name, sign) pairs; free vars split into +/- parts
     col_of = {}
     for v in lp.variables:

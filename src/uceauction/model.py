@@ -1,13 +1,16 @@
 """Core domain types: exact rationals, bundles, valuations, economies, instances.
 
 All monetary quantities are `fractions.Fraction`, so arithmetic is exact and
-tie detection in demand sets never needs a tolerance.
+tie detection in demand sets never needs a tolerance.  The engines compute on
+integer multiples of one unit per run and turn them back into Fractions only
+for their results and records.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
 MAIN_ECONOMY = 0
@@ -54,6 +57,13 @@ def format_rational(value: Fraction) -> str:
     if type(value) is Fraction:  # already canonical; skip the rebuild
         return str(value)
     return str(Fraction(value))
+
+
+def lattice_formatter(unit: Fraction):
+    """format_rational(k * unit) for integers k, memoized: the engines keep
+    their numbers as whole multiples of one unit and make one of these per
+    run to write them."""
+    return lru_cache(maxsize=None)(lambda k: str(k * unit))
 
 
 class Bundle(NamedTuple):
@@ -228,15 +238,21 @@ class Instance:
             raise InstanceValidationError("at least one agent is required")
         # Integrality premise: all values, delta, and p_init are multiples of
         # epsilon.  Rejecting (not rounding) keeps the descent guarantee intact.
-        for label, q in (("p_init", self.p_init), ("delta", self.delta)):
+        for label, q in self.lattice_numbers():
             self._require_multiple(q, label)
+
+    def lattice_numbers(self) -> Iterator[tuple]:
+        """(label, value) of every number the integrality premise covers:
+        p_init, delta and each agent's values."""
+        yield "p_init", self.p_init
+        yield "delta", self.delta
         for idx, v in enumerate(self.agents, start=1):
             if isinstance(v, MultiUnitValuation):
                 for t, m in enumerate(v.marginals):
-                    self._require_multiple(m, "agent %d marginal %d" % (idx, t + 1))
+                    yield "agent %d marginal %d" % (idx, t + 1), m
             elif isinstance(v, ProductMixValuation):
-                self._require_multiple(v.v_w, "agent %d v_w" % idx)
-                self._require_multiple(v.v_s, "agent %d v_s" % idx)
+                yield "agent %d v_w" % idx, v.v_w
+                yield "agent %d v_s" % idx, v.v_s
             else:
                 raise InstanceValidationError("unknown valuation type: %r" % (v,))
 

@@ -7,6 +7,9 @@ method: each updated economy's unit price moves by epsilon, and every other
 economy's offsets move by epsilon times the agent's reported kappa.  One call
 applies a whole round's step, all its economies at once, in a single pass over
 the offsets.  `dual_objective` is the one formula for the UCE dual objective.
+
+Every function computes in the exact numbers it is given: Fractions in real
+units, or the engines' integer multiples of epsilon.
 """
 from __future__ import annotations
 
@@ -14,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import Bundle, visible_economies
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class EnvelopePriceState:
     n: int
     p: tuple  # length n+1, index = economy
     alpha: dict  # (agent i, economy j) -> Fraction, j != i
-    delta: Fraction = ZERO
+    delta: Fraction = 0
 
     def replace(self, p=None, alpha=None) -> "EnvelopePriceState":
         return EnvelopePriceState(
@@ -40,9 +41,9 @@ class EnvelopePriceState:
         )
 
 
-def initial_state(n: int, p_init: Fraction, delta: Fraction = ZERO) -> EnvelopePriceState:
-    alpha = {(i, j): ZERO for i in range(1, n + 1) for j in visible_economies(i, n)}
-    return EnvelopePriceState(n=n, p=tuple([Fraction(p_init)] * (n + 1)), alpha=alpha, delta=delta)
+def initial_state(n: int, p_init: Fraction, delta: Fraction = 0) -> EnvelopePriceState:
+    alpha = {(i, j): 0 for i in range(1, n + 1) for j in visible_economies(i, n)}
+    return EnvelopePriceState(n=n, p=(p_init,) * (n + 1), alpha=alpha, delta=delta)
 
 
 def line_price(state: EnvelopePriceState, i: int, j: int, k: Bundle) -> Fraction:
@@ -80,7 +81,7 @@ def envelope_price_by_size(state: EnvelopePriceState, i: int, capacity: int) -> 
 
 def line_by_size(unit: Fraction, offset: Fraction, capacity: int) -> list:
     """offset + size * unit for each size 0..capacity, by repeated addition
-    (exact, and cheaper than one Fraction product per size)."""
+    (exact, and cheaper than one product per size)."""
     values = [offset]
     for _ in range(capacity):
         values.append(values[-1] + unit)
@@ -100,14 +101,14 @@ def apply_over_demand_update(
     """One ascent step on the given economies: raise each one's unit price by
     epsilon, and raise each agent's offset on economy l by
     epsilon * kappa_min[i] for every updated economy other than l."""
-    return _apply_step(state, economies, kappa_min, Fraction(epsilon))
+    return _apply_step(state, economies, kappa_min, epsilon)
 
 
 def apply_under_demand_update(
     state: EnvelopePriceState, economies, kappa_max: dict, epsilon: Fraction
 ) -> EnvelopePriceState:
     """Mirror of the over-demand update with signs flipped (kappa_max driven)."""
-    return _apply_step(state, economies, kappa_max, -Fraction(epsilon))
+    return _apply_step(state, economies, kappa_max, -epsilon)
 
 
 def _apply_step(state, economies, kappa, step):
@@ -153,7 +154,7 @@ def dual_objective(K: int, utilities, p, offsets) -> Fraction:
     produce.
     """
     n = len(p) - 1
-    return n * sum(utilities, ZERO) + K * sum(p, ZERO) + sum(offsets, ZERO)
+    return n * sum(utilities) + K * sum(p) + sum(offsets)
 
 
 def state_to_dict(state: EnvelopePriceState) -> dict:

@@ -3,16 +3,29 @@
 Unlike the envelope engine, this method keeps a full price table rho[(i, k)]
 as Lagrange multipliers and is not guaranteed to reach the exact optimum; it
 tracks the best dual objective seen over a fixed iteration budget.
+
+A run computes on one lattice.  Prices start at multiples of p_init, move by
+whole multiples of the step and clamp at 0, and utilities and margins take
+them from adjusted values, so every quantity is a whole multiple of 1 / lcm
+of the denominators of the step, p_init and the adjusted values.  The
+iterations work in Python ints of that unit; the log, the best objective and
+the final state are Fractions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import Instance, InstanceValidationError, economy_members, format_rational, visible_economies
+from .model import (
+    Instance,
+    InstanceValidationError,
+    economy_members,
+    format_rational,
+    lattice_formatter,
+    visible_economies,
+)
 from .pricing import dual_objective
-
-ZERO = Fraction(0)
 
 MAX_TABLE_BUNDLES = 10**5
 
@@ -77,19 +90,29 @@ def run_subgradient(
 
     n = instance.n
     step = Fraction(step)
-    rho = {
-        (i, k): k.size * instance.p_init
-        for i in range(1, n + 1)
-        for k in instance.valuation(i).bundles()
-    }
-    p = [Fraction(instance.p_init)] * (n + 1)
     # Adjusted values never change across iterations: (bundle, value) pairs
     # per agent, in bundle order.
-    values = {
+    real_values = {
         i: [(k, instance.adjusted_value(i, k)) for k in instance.valuation(i).bundles()]
         for i in range(1, n + 1)
     }
+    scale = math.lcm(
+        step.denominator,
+        instance.p_init.denominator,
+        *(value.denominator for pairs in real_values.values() for _, value in pairs),
+    )
+    unit = Fraction(1, scale)
+    fmt = lattice_formatter(unit)
+    values = {
+        i: [(k, (value * scale).numerator) for k, value in pairs]
+        for i, pairs in real_values.items()
+    }
+    step_units = (step * scale).numerator
+    p_init = (instance.p_init * scale).numerator
+    rho = {(i, k): k.size * p_init for i in range(1, n + 1) for k, _ in values[i]}
+    p = [p_init] * (n + 1)
     run = SubgradientRun()
+    best = gap = None
     # Seller-side selection per (economy, agent), from prices alone; alpha
     # comes from the same candidate lists, so both are built once per
     # iteration, at the prices the next iteration starts from.
@@ -102,7 +125,7 @@ def run_subgradient(
         for i in range(1, n + 1):
             _, z_pick[i] = _lex_argmax([(k, value - rho[(i, k)]) for k, value in values[i]])
 
-        max_component = ZERO
+        max_component = 0
         new_p = list(p)
         for j in range(0, n + 1):
             grad = (
@@ -113,9 +136,9 @@ def run_subgradient(
                 )
                 - instance.K
             )
-            max_component = max(max_component, abs(Fraction(grad)))
+            max_component = max(max_component, abs(grad))
             # Projected step: unit prices stay in the dual's feasible region.
-            new_p[j] = max(p[j] + step * grad, ZERO)
+            new_p[j] = max(p[j] + step_units * grad, 0)
         new_rho = dict(rho)
         for i in range(1, n + 1):
             for k, _ in values[i]:
@@ -125,30 +148,38 @@ def run_subgradient(
                 )
                 grad = z_count - b_count
                 if grad:
-                    max_component = max(max_component, abs(Fraction(grad)))
-                    new_rho[(i, k)] = rho[(i, k)] + step * grad
+                    max_component = max(max_component, abs(grad))
+                    new_rho[(i, k)] = rho[(i, k)] + step_units * grad
         rho, p = new_rho, new_p
 
         alpha, beta_pick = _seller_side(n, values, rho, p)
         # pi, p and alpha clamped at zero keep the evaluation inside the
         # dual's feasible region, so the value is always a valid bound.
-        pi = (max(max(value - rho[(i, k)] for k, value in values[i]), ZERO) for i in values)
+        pi = (max(max(value - rho[(i, k)] for k, value in values[i]), 0) for i in values)
         objective = dual_objective(
-            instance.K, pi, [max(q, ZERO) for q in p], (max(a, ZERO) for a in alpha.values())
+            instance.K, pi, [max(q, 0) for q in p], (max(a, 0) for a in alpha.values())
         )
-        if run.best_objective is None or objective < run.best_objective:
-            run.best_objective = objective
+        if best is None or objective < best:
+            best = objective
+            run.best_objective = best * unit
             run.best_iteration = it
+            if lp_optimum is not None:
+                gap = format_rational(run.best_objective - lp_optimum)
         entry = {
             "iteration": it,
-            "objective": format_rational(objective),
-            "best_objective": format_rational(run.best_objective),
+            "objective": fmt(objective),
+            "best_objective": fmt(best),
             "max_subgradient": format_rational(max_component),
         }
         if lp_optimum is not None:
-            entry["gap"] = format_rational(run.best_objective - lp_optimum)
+            entry["gap"] = gap
         run.log.append(entry)
 
     # alpha is the last iteration's, computed from the final rho and p.
-    run.state = SubgradientState(rho=rho, p=p, alpha=alpha, step=step)
+    run.state = SubgradientState(
+        rho={key: q * unit for key, q in rho.items()},
+        p=[q * unit for q in p],
+        alpha={key: q * unit for key, q in alpha.items()},
+        step=step,
+    )
     return run

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from uceauction import auction, oracle, pricing
+from uceauction import auction, demand, oracle, pricing
 from uceauction.auction import (
     NoFeasibleSelection,
     RoundLimitExceeded,
@@ -437,19 +437,32 @@ def _run_all_engines(inst):
 
 def test_engines_unchanged_under_the_enumeration_reference(monkeypatch):
     """Every engine gives the same outcome and the same trace records when
-    its demand queries go to the bundle-enumeration reference instead."""
+    its demand queries go to the bundle-enumeration reference instead.  The
+    engines query in epsilon units: the reference gets the state and prices
+    in real units, and its report goes back in epsilon units."""
     markets = list(_reference_demand_markets())
     fast = [_run_all_engines(inst) for inst in markets]
-    monkeypatch.setattr(
-        auction, "demand_set",
-        lambda v, state, i, values=None: oracle.demand_set_by_enumeration(v, state, i),
-    )
-    monkeypatch.setattr(
-        auction, "demand_at_linear_price",
-        lambda v, i, p, delta, values=None: oracle.demand_at_linear_price_by_enumeration(
-            v, i, p, delta
-        ),
-    )
+
+    def in_units(report, unit):
+        steps = report.max_utility / unit
+        assert steps.denominator == 1
+        return replace(report, max_utility=steps.numerator)
+
+    def envelope_reference(v, state, i, values, face, unit):
+        real = EnvelopePriceState(
+            n=state.n,
+            p=tuple(q * unit for q in state.p),
+            alpha={key: q * unit for key, q in state.alpha.items()},
+            delta=state.delta * unit,
+        )
+        return in_units(oracle.demand_set_by_enumeration(v, real, i), unit)
+
+    def linear_reference(v, i, p, delta, values, face, unit):
+        report = oracle.demand_at_linear_price_by_enumeration(v, i, p * unit, delta * unit)
+        return in_units(report, unit)
+
+    monkeypatch.setattr(auction, "demand_set", envelope_reference)
+    monkeypatch.setattr(auction, "demand_at_linear_price", linear_reference)
     biased = 0
     for inst, runs in zip(markets, fast):
         for (out, trace), (ref_out, ref_trace) in zip(runs, _run_all_engines(inst)):
@@ -607,9 +620,63 @@ def test_clock_queries_once_per_run(monkeypatch):
 
 
 def test_off_lattice_clock_price_is_an_invariant_failure(table1):
-    """A clock price off the epsilon-lattice raises; it is never rounded."""
-    tampered = replace(table1)
-    object.__setattr__(tampered, "p_init", F(1, 2))
-    for engine in (run_linear_auction, run_parallel_auction):
-        with pytest.raises(auction.OffLattice):
-            engine(tampered)
+    """A start price or a value off the epsilon-lattice raises in every
+    engine; it is never rounded."""
+    off_price = replace(table1)
+    object.__setattr__(off_price, "p_init", F(1, 2))
+    off_value = replace(table1)
+    agents = (MultiUnitValuation((F(8), F(9, 2), F(4), F(2))),) + table1.agents[1:]
+    object.__setattr__(off_value, "agents", agents)
+    for tampered, label in ((off_price, "p_init = 1/2"), (off_value, "agent 1 marginal 2 = 9/2")):
+        for engine in (run_uce_auction, run_linear_auction, run_parallel_auction):
+            with pytest.raises(auction.OffLattice, match=label):
+                engine(tampered)
+
+
+def test_engines_compute_on_lattice_integers(table1, monkeypatch):
+    """Every price state and uniform price the engines quote, and every max
+    utility they are told, is an int count of epsilon steps."""
+    seen = {"state": [], "price": [], "utility": []}
+    envelope, linear = auction.demand_set, auction.demand_at_linear_price
+
+    def watched_envelope(v, state, *rest):
+        seen["state"].extend((*state.p, *state.alpha.values(), state.delta))
+        report = envelope(v, state, *rest)
+        seen["utility"].append(report.max_utility)
+        return report
+
+    def watched_linear(v, i, p, delta, *rest):
+        seen["price"].extend((p, delta))
+        report = linear(v, i, p, delta, *rest)
+        seen["utility"].append(report.max_utility)
+        return report
+
+    monkeypatch.setattr(auction, "demand_set", watched_envelope)
+    monkeypatch.setattr(auction, "demand_at_linear_price", watched_linear)
+    fine = generate_product_mix(seed=0, n=4, K=12, epsilon=F(1, 100), value_steps_max=150)
+    for inst in (table1, fine):
+        _run_all_engines(inst)
+    for kind, numbers in seen.items():
+        assert numbers, kind
+        assert all(type(q) is int for q in numbers), kind
+
+
+def test_contiguity_record_is_in_real_units():
+    """The contiguity monitor writes an engine run's marginals and quoted
+    prices in real units, not in epsilon steps."""
+    inst = Instance(
+        agents=(
+            MultiUnitValuation((F(11, 10), F(4, 5), F(1, 2))),
+            MultiUnitValuation((F(6, 5), F(7, 10), F(2, 5), F(2, 5))),
+        ),
+        K=4, delta=F(3, 10), epsilon=F(1, 10),
+    )
+    before = len(demand.contiguity_counterexamples)
+    run_uce_auction(inst)
+    assert demand.contiguity_counterexamples[before:] == [{
+        "agent": 2,
+        "sizes": [2, 4],
+        "marginals": ["6/5", "7/10", "2/5", "2/5"],
+        "prices": ["0", "1/2", "1", "3/2", "9/5"],
+    }]
+    del demand.contiguity_counterexamples[before:]

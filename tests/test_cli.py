@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uceauction import auction, cli, subgradient
 from uceauction.cli import main
-from uceauction.generate import generate_product_mix
+from uceauction.generate import generate_multi_unit, generate_product_mix
 from uceauction.model import (
     Instance,
     MultiUnitValuation,
@@ -282,6 +284,60 @@ def test_lp_general_uce_on_a_large_market_exits_2_at_once(tmp_path, capsys, monk
     assert "instance too large" in capsys.readouterr().err
     # One check per allocation found: at most the cap's worth, not all of them.
     assert 0 < len(listed) <= lpmod.GENERAL_SIZE_CAP
+
+
+def test_lp_solve_on_the_default_gen_market_exits_2(tmp_path, capsys):
+    """The default gen market's UCE dual has 1090 variables x 16796
+    constraints: solve refuses it before the first pivot, while --emit-lp
+    alone still writes it."""
+    path = tmp_path / "big.json"
+    assert main(["gen", "--seed", "7", "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["lp", str(path), "--build", "uce-dual", "--solve"]) == 2
+    err = capsys.readouterr().err
+    assert "instance too large" in err and "18307640 tableau cells" in err
+
+
+def test_lp_tableau_cap_is_checked_before_solving(table1, table1_file, tmp_path, capsys,
+                                                  monkeypatch):
+    from uceauction import lp as lpmod
+
+    """A program with more variables x constraints than TABLEAU_CAP is
+    refused before solving, and only solving: --emit-lp still writes it."""
+    program = lpmod.build_uce_dual(table1)
+    cells = len(program.variables) * len(program.constraints)
+    monkeypatch.setattr(lpmod, "TABLEAU_CAP", cells)
+    assert lpmod.solve(program).status == "optimal"
+    monkeypatch.setattr(lpmod, "TABLEAU_CAP", cells - 1)
+    with pytest.raises(lpmod.InstanceTooLarge, match="cap is %d" % (cells - 1)):
+        lpmod.solve(program)
+    emitted = tmp_path / "dual.lp"
+    assert main(["lp", table1_file, "--build", "uce-dual", "--emit-lp", str(emitted)]) == 0
+    assert emitted.read_text() == lpmod.emit_lp_text(program)
+    assert main(["lp", table1_file, "--build", "uce-dual", "--solve"]) == 2
+    assert "instance too large" in capsys.readouterr().err
+
+
+def test_instance_digest_is_the_sha256_of_the_canonical_instance(table1):
+    """The builtin SHA-256 gives hashlib's digests."""
+    markets = [table1]
+    for seed in range(8):
+        markets.append(generate_product_mix(
+            seed=seed, n=5, K=20, epsilon=Fraction(1, 10), delta_steps=seed
+        ))
+        markets.append(generate_multi_unit(seed=seed, n=3, K=10, epsilon=Fraction(1, 4)))
+    for inst in markets:
+        canonical = json.dumps(instance_to_dict(inst), sort_keys=True).encode("utf-8")
+        assert cli.instance_digest(inst) == hashlib.sha256(canonical).hexdigest()[:16]
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    code = "import sys, uceauction.cli; print('_hashlib' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_lp_solve_uce_dual(table1_file, capsys):

@@ -17,9 +17,9 @@ both trace files:
 - 200 seeded product-mix markets on the tie face v_s - delta = v_w with
   delta > 0, where every split of a demanded size is a maximizer, so the
   final allocation's choice among them shows;
-- and, through `--engine linear|parallel` only, 30 seeded multi-unit markets
-  with a strong-unit bias delta > 0, so that adjusted marginals run through
-  zero and below it, with zero marginals and 20 to 40 units per bidder: many
+- and 30 seeded multi-unit markets on epsilon grids 1, 1/2 and 1/10 with a
+  strong-unit bias delta > 0, so that adjusted marginals run through zero and
+  below it, with zero marginals and 20 to 40 units per bidder: many
   breakpoints for the uniform-price clocks.
 
 LP runs, each through `uceauction lp --build KIND --emit-lp --solve` for
@@ -27,9 +27,10 @@ every build kind, on Table 1 and the `dual-small` seed-0 markets, hashing the
 exit code, stdout and the emitted text, and `lp.solve`'s status, objective,
 vertex, dual and pivot count on each emitted program.
 
-And `subgradient.run_subgradient` (step 1/2) on the 8 `dual-small` markets of
-seeds 0 and 3, at 0, 1 and 200 iterations, hashing the log, the best
-objective and iteration, and the final state.
+And `subgradient.run_subgradient` on the 8 `dual-small` markets of seeds 0
+and 3, at steps 1/2, 1/3 and 2/7 and at 0, 1 and 200 iterations, hashing the
+log, the best objective and iteration, and the final state.  Steps 1/3 and
+2/7 put the iterates on a finer lattice than the markets' values.
 
 Standard library only; the pool definitions are read, never written.
 """
@@ -53,8 +54,8 @@ from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
 ENGINES = ("uce", "linear", "parallel")
-CLOCK_ENGINES = ("linear", "parallel")
 MODES = ("batch", "single")
+SUBGRADIENT_STEPS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7))
 SUBGRADIENT_ITERATIONS = (0, 1, 200)
 
 
@@ -189,7 +190,7 @@ def auction_runs(pkg, workloads):
     for label, instance in tie_face_markets(pkg.model):
         yield label, instance, ENGINES
     for label, instance in biased_multi_unit_markets(pkg.model):
-        yield label, instance, CLOCK_ENGINES
+        yield label, instance, ENGINES
 
 
 def solve_parts(pkg, text: bytes):
@@ -228,8 +229,8 @@ def lp_markets(pkg, workloads):
         yield "dual-small-seed0-%s" % market.id, market.instance
 
 
-def subgradient_hash(pkg, instance, iterations: int) -> str:
-    run = pkg.subgradient.run_subgradient(instance, Fraction(1, 2), iterations)
+def subgradient_hash(pkg, instance, step: Fraction, iterations: int) -> str:
+    run = pkg.subgradient.run_subgradient(instance, step, iterations)
     state = run.state
     return digest([
         json.dumps(run.log, sort_keys=True),
@@ -260,12 +261,16 @@ def main(argv) -> int:
                 run_hash = lp_hash(pkg, instance_path, build, workdir)
                 print("lp-%s-%s %s" % (label, build, run_hash), flush=True)
     dual = workloads.WORKLOADS["dual-small"]
-    for seed in (0, 3):
-        for market in workloads.build_pool(pkg, dual, seed):
-            for iterations in SUBGRADIENT_ITERATIONS:
-                print("dual-small-seed%d-%s-it%d %s"
-                      % (seed, market.id, iterations,
-                         subgradient_hash(pkg, market.instance, iterations)), flush=True)
+    for step in SUBGRADIENT_STEPS:
+        # Step 1/2 runs keep the labels they had before the other steps.
+        tag = "" if step == Fraction(1, 2) else "-step%s" % step
+        for seed in (0, 3):
+            for market in workloads.build_pool(pkg, dual, seed):
+                for iterations in SUBGRADIENT_ITERATIONS:
+                    print("dual-small-seed%d-%s%s-it%d %s"
+                          % (seed, market.id, tag, iterations,
+                             subgradient_hash(pkg, market.instance, step, iterations)),
+                          flush=True)
     return 0
 
 
