@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import os
@@ -18,7 +19,7 @@ import tempfile
 from fractions import Fraction
 
 from . import auction, generate, lp, oracle, subgradient
-from .demand import demand_set
+from .demand import UNDER_DEMAND, demand_set
 from .model import (
     Instance,
     InstanceValidationError,
@@ -92,9 +93,9 @@ def _json_key(key) -> str:
 
 def _json_text(o, indent: str) -> str:
     """The text json.dumps(o, indent=2, default=str) gives o when o starts
-    on a line indented by `indent`.  It covers the types traces hold: dicts
-    with str or int keys, lists, tuples, str, int, bool and None; any other
-    value is written as the string str() gives it."""
+    on a line indented by `indent`.  It covers dicts with str or int keys,
+    lists, tuples, str, int, float, bool and None; any other value is
+    written as the string str() gives it."""
     if isinstance(o, str):
         return _quote(o)
     if o is None:
@@ -105,6 +106,8 @@ def _json_text(o, indent: str) -> str:
         return "false"
     if isinstance(o, int):
         return int.__repr__(o)
+    if isinstance(o, float):  # NaN and the infinities as json writes them
+        return json.dumps(o)
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -122,38 +125,18 @@ def _json_text(o, indent: str) -> str:
     return _quote(str(o))
 
 
-def _emit_json(write, o, indent: str, depth: int) -> None:
-    """Write _json_text(o, indent), item by item through the outer `depth`
-    levels of containers, so only one inner item's text is built at a time."""
-    if not (depth and isinstance(o, (list, tuple, dict)) and o):
-        write(_json_text(o, indent))
-        return
-    inner = indent + "  "
-    if isinstance(o, dict):
-        opening, closing = "{", "}"
-        items = ((inner + _quote(_json_key(k)) + ": ", v) for k, v in o.items())
-    else:
-        opening, closing = "[", "]"
-        items = ((inner, v) for v in o)
-    separator = opening + "\n"
-    for prefix, value in items:
-        write(separator + prefix)
-        _emit_json(write, value, inner, depth - 1)
-        separator = ",\n"
-    write("\n" + indent + closing)
-
-
 def _write_json(path: str, doc) -> None:
-    """Write doc as json.dump(doc, fh, indent=2, default=str) does, record by
-    record (a trace's records are the items two levels down): a long trace's
-    text is never held in memory whole."""
+    """Write doc as json.dump(doc, fh, indent=2, default=str) does."""
     with _atomic_open(path) as fh:
-        _emit_json(fh.write, doc, "", 2)
+        fh.write(_json_text(doc, ""))
         fh.write("\n")
 
 
 def _out_path(args, name: str) -> str:
-    return os.path.join(args.out_dir, name)
+    out_dir = args.out_dir
+    if out_dir is None:  # read when the command runs: the parser is built once
+        out_dir = os.environ.get("UCEAUCTION_OUT", ".")
+    return os.path.join(out_dir, name)
 
 
 def _allocation_split(allocation) -> tuple:
@@ -198,9 +181,11 @@ def _uce_csv_rows(trace):
 
 def _clock_csv_row(round_, economy, row):
     """A uniform-price clock's row; its step after the round is its
-    diagnosis, unless the clock settled there."""
+    diagnosis, unless the clock settled there.  Only an under-demanded
+    clock's step depends on its price, so only its price is read back."""
     diag = row["diagnosis"]
-    action = "" if auction.settled(diag, parse_rational(row["p"])) else diag
+    price = parse_rational(row["p"]) if diag == UNDER_DEMAND else None
+    action = "" if auction.settled(diag, price) else diag
     return (round_, economy, row["p"], row["sum_kappa_min"], row["sum_kappa_max"], diag, action)
 
 
@@ -226,6 +211,153 @@ def _write_trace_csv(path: str, engine: str, trace) -> None:
         marker = (len(trace.records), "", "", "", "", "", "round_cap")
         rows = itertools.chain(rows, [marker])
     _write_csv(path, TRACE_CSV_HEADER, rows)
+
+
+# --trace-json records.  Each engine's records have one shape, and its
+# renderer fills one template with the record's fields, laid out as
+# json.dumps(doc, indent=2, default=str) lays out an item of doc["records"]:
+# the record's braces on lines indented by four spaces, its fields by six.
+# tests/test_cli.py compares whole trace files with json.dumps on every
+# record variant, so a field a template does not know fails there.
+
+
+def _block(brackets: str, entries, indent: str) -> str:
+    """A JSON list ("[]") or object ("{}") of entries already written as
+    JSON (`"key": value` for an object), its brackets on lines indented by
+    `indent` and its entries two spaces further in."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join(entries)
+    return brackets[0] + inner + body + "\n" + indent + brackets[1] if body else brackets
+
+
+_UCE_RECORD = """{
+      "round": %d,
+      "p": %s,
+      "alpha": %s,
+      "reports": %s,
+      "kappa_sums": %s,
+      "diagnosis": %s,
+      "dual_objective": %s,
+      "updates": %s%s
+    }"""
+_UCE_REPORT = """"%d": {
+          "kappa_min": %d,
+          "kappa_max": %d,
+          "max_utility": %s,
+          "maximizer_extremes": [
+            [
+              %d,
+              %d
+            ],
+            [
+              %d,
+              %d
+            ]
+          ]
+        }"""
+_UCE_KAPPA_SUMS = """"%d": [
+          %d,
+          %d
+        ]"""
+_UCE_UPDATE = """{
+          "economy": %d,
+          "direction": %s
+        }"""
+_FIELD = " " * 6  # a record field's line; its value's brackets close there
+
+
+def _uce_json_record(record) -> str:
+    alpha = record["alpha"]
+    diagnosis = record["diagnosis"]
+    reports = []
+    for i, r in record["reports"].items():
+        # A report's extremes are its first and last maximizer, two (weak,
+        # strong) bundles.
+        first, last = r["maximizer_extremes"]
+        reports.append(_UCE_REPORT % (
+            i, r["kappa_min"], r["kappa_max"], _quote(r["max_utility"]), *first, *last,
+        ))
+    witness = record.get("witness")
+    return _UCE_RECORD % (
+        record["round"],
+        _block("[]", map(_quote, record["p"]), _FIELD),
+        _block("{}", map("%s: %s".__mod__, zip(map(_quote, alpha), map(_quote, alpha.values()))),
+               _FIELD),
+        _block("{}", reports, _FIELD),
+        _block("{}", [_UCE_KAPPA_SUMS % (j, low, high)
+                      for j, (low, high) in record["kappa_sums"].items()], _FIELD),
+        _block("{}", map('"%d": %s'.__mod__, zip(diagnosis, map(_quote, diagnosis.values()))),
+               _FIELD),
+        _quote(record["dual_objective"]),
+        _block("[]", [_UCE_UPDATE % (u["economy"], _quote(u["direction"]))
+                      for u in record["updates"]], _FIELD),
+        "" if witness is None else ',\n%s"witness": %s' % (_FIELD, _json_text(witness, _FIELD)),
+    )
+
+
+_LINEAR_RECORD = """{
+      "round": %d,
+      "p": %s,
+      "sum_kappa_min": %d,
+      "sum_kappa_max": %d,
+      "diagnosis": %s,
+      "economy": %d
+    }"""
+
+
+def _linear_json_record(row) -> str:
+    return _LINEAR_RECORD % (
+        row["round"], _quote(row["p"]), row["sum_kappa_min"], row["sum_kappa_max"],
+        _quote(row["diagnosis"]), row["economy"],
+    )
+
+
+_PARALLEL_RECORD = """{
+      "round": %d,
+      "economies": %s
+    }"""
+_PARALLEL_ROW = """"%d": {
+          "round": %d,
+          "p": %s,
+          "sum_kappa_min": %d,
+          "sum_kappa_max": %d,
+          "diagnosis": %s
+        }"""
+
+
+def _parallel_json_record(record) -> str:
+    rows = [
+        _PARALLEL_ROW % (
+            j, row["round"], _quote(row["p"]), row["sum_kappa_min"], row["sum_kappa_max"],
+            _quote(row["diagnosis"]),
+        )
+        for j, row in record["economies"].items()
+    ]
+    return _PARALLEL_RECORD % (record["round"], _block("{}", rows, _FIELD))
+
+
+TRACE_JSON_RECORDS = {
+    "uce": _uce_json_record, "linear": _linear_json_record, "parallel": _parallel_json_record,
+}
+
+
+def _write_trace_json(path: str, engine: str, digest: str, trace, n: int) -> None:
+    """The trace document as json.dump(doc, fh, indent=2, default=str) writes
+    it, record by record, so a long trace's text is never held whole."""
+    render = TRACE_JSON_RECORDS[engine]
+    with _atomic_open(path) as fh:
+        fh.write('{\n  "instance_digest": %s,\n  "engine": %s,\n  "records": '
+                 % (_quote(digest), _quote(engine)))
+        separator = "[\n    "
+        for record in trace.records:
+            fh.write(separator + render(record))
+            separator = ",\n    "
+        fh.write("\n  ]" if trace.records else "[]")
+        if trace.outcome is None:
+            fh.write(',\n  "outcome": null,\n  "round_cap_reached": true\n}\n')
+        else:
+            fh.write(',\n  "outcome": %s\n}\n'
+                     % _json_text(_outcome_to_dict(trace.outcome, n), "  "))
 
 
 def _outcome_to_dict(outcome, n: int) -> dict:
@@ -323,19 +455,10 @@ def cmd_run(args) -> int:
 def _write_traces(args, digest: str, n: int, trace) -> None:
     """Write --trace-csv and --trace-json.  A trace without an outcome is one
     the round cap stopped; both files then end with a round-cap marker."""
-    capped = trace.outcome is None
     if args.trace_csv:
         _write_trace_csv(args.trace_csv, args.engine, trace)
     if args.trace_json:
-        doc = {
-            "instance_digest": digest,
-            "engine": args.engine,
-            "records": trace.records,
-            "outcome": None if capped else _outcome_to_dict(trace.outcome, n),
-        }
-        if capped:
-            doc["round_cap_reached"] = True
-        _write_json(args.trace_json, doc)
+        _write_trace_json(args.trace_json, args.engine, digest, trace, n)
 
 
 def _cmd_compare(inst, digest, args) -> int:
@@ -556,14 +679,17 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it
+    is, so every main() call shares it."""
     parser = argparse.ArgumentParser(
         prog="uceauction",
         description="Iterative single-price-path Vickrey auctions: simulate, verify, solve.",
     )
     parser.add_argument(
         "--out-dir",
-        default=os.environ.get("UCEAUCTION_OUT", "."),
+        default=None,
         help="directory for report files (default: $UCEAUCTION_OUT or the cwd)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

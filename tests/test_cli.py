@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -74,17 +75,18 @@ def test_trace_csv_columns(table1_file, tmp_path, capsys):
     assert len(rows) == 1 + 20
 
 
+def _refine_market():
+    """A criterion-7-family market whose run takes one refine step."""
+    return generate_product_mix(
+        seed=1, n=12, K=12, epsilon=Fraction(1, 10), value_steps_max=14, gamma_max=3,
+        update_mode="single",
+    )
+
+
 @pytest.fixture
 def refine_file(tmp_path):
-    """A criterion-7-family market whose run takes one refine step."""
     path = tmp_path / "refine.json"
-    dump_instance(
-        generate_product_mix(
-            seed=1, n=12, K=12, epsilon=Fraction(1, 10), value_steps_max=14, gamma_max=3,
-            update_mode="single",
-        ),
-        path,
-    )
+    dump_instance(_refine_market(), path)
     return str(path)
 
 
@@ -170,18 +172,63 @@ def _json_documents(table1, pm_small):
         "na\u00efve": ["\u20ac \u2014 \u00fc", "\u2603", "\x00\n\t\"\\/", ""],
         5: {}, -3: -7, "empty": [], "nested": (1, (2, ()), [[]]),
         "flags": [True, False, None], "fraction": Fraction(0),
+        "floats": [1.5, -0.0, 1e300, 2.5e-08, float("nan"), float("inf"), float("-inf")],
     })
     return docs
 
 
+def _trace_markets(table1, pm_small):
+    """Markets whose traces hold every record variant: a one-bidder market, a
+    descending one whose parallel run takes 5 rounds in economy 0 and 8 in
+    economy 1, and the 12-bidder market whose single-mode run refines."""
+    one_bidder = Instance(
+        agents=(MultiUnitValuation((Fraction(3), Fraction(2), Fraction(1))),), K=2
+    )
+    descending = dataclasses.replace(table1, direction="descending", p_init=Fraction(9))
+    return [table1, pm_small, one_bidder, descending, _refine_market()]
+
+
 def test_trace_json_bytes_equal_json_dump(table1, pm_small, tmp_path):
-    """The streaming emitter writes the bytes json.dump(indent=2,
-    default=str) writes, plus the final newline."""
+    """Every JSON file the CLI writes holds the bytes json.dump(indent=2,
+    default=str) writes, plus the final newline: documents through
+    _write_json, and each engine's trace, uncapped and capped, through
+    _write_traces and its record renderers."""
     path = tmp_path / "doc.json"
     for doc in _json_documents(table1, pm_small):
         cli._write_json(str(path), doc)
         expected = json.dumps(doc, indent=2, default=str) + "\n"
         assert path.read_bytes() == expected.encode("ascii")
+    seen = set()
+    for inst in _trace_markets(table1, pm_small):
+        for engine in ("uce", "linear", "parallel"):
+            for cap in (None, 1, 2, 5):
+                try:
+                    _, trace = cli._run_engine(inst, engine, argparse.Namespace(round_cap=cap))
+                except auction.RoundLimitExceeded as exc:
+                    trace = exc.trace
+                args = argparse.Namespace(engine=engine, trace_csv=None, trace_json=str(path))
+                digest = cli.instance_digest(inst)
+                cli._write_traces(args, digest, inst.n, trace)
+                doc = {"instance_digest": digest, "engine": engine, "records": trace.records}
+                if trace.outcome is None:
+                    doc.update(outcome=None, round_cap_reached=True)
+                    seen.add("capped " + engine)
+                else:
+                    doc["outcome"] = cli._outcome_to_dict(trace.outcome, inst.n)
+                expected = json.dumps(doc, indent=2, default=str) + "\n"
+                assert path.read_bytes() == expected.encode("ascii"), (engine, cap, inst)
+                records = trace.records
+                if engine == "uce":
+                    seen.update("witness" for r in records if "witness" in r)
+                    seen.update("no updates" for r in records if not r["updates"])
+                elif engine == "parallel" and trace.outcome is None:
+                    if len(records[0]["economies"]) > 1:
+                        seen.add("capped in a later sub-auction")
+                seen.update((inst.direction, "n=%d" % inst.n))
+    assert seen >= {
+        "witness", "no updates", "capped uce", "capped linear", "capped parallel",
+        "capped in a later sub-auction", "n=1", "n=12", "ascending", "descending",
+    }
     for bad in ({(1, 2): 0}, {"outer": [{(1, 2): 0}]}):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2, default=str)
@@ -210,6 +257,35 @@ def test_verify_suites_pass(table1_file, tmp_path, capsys):
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "%s: 1/1 passed" % suite in out
+
+
+def test_out_dir_falls_back_to_the_environment_of_each_call(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process, and each command reads
+    $UCEAUCTION_OUT, --out-dir's fallback, when it runs; a usage error
+    between two calls leaves the shared parser working."""
+    from uceauction import oracle
+
+    assert cli.build_parser() is cli.build_parser()
+    real = oracle.vcg_from_definition
+
+    def skewed(inst):
+        payments, payoffs, allocation, values = real(inst)
+        return payments, {i: q + 1 for i, q in payoffs.items()}, allocation, values
+
+    monkeypatch.setattr(cli.oracle, "vcg_from_definition", skewed)
+    argv = ["verify", "--suite", "vcg", "--seed", "3", "--count", "1"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        out.mkdir()
+        monkeypatch.setenv("UCEAUCTION_OUT", str(out))
+        assert main(argv) == 3
+        if out == first:
+            with pytest.raises(SystemExit) as caught:
+                main(argv + ["--count", "0"])
+            assert caught.value.code == 2
+    capsys.readouterr()
+    assert sorted(p.name for p in first.iterdir()) == ["counterexample-0.json"]
+    assert sorted(p.name for p in second.iterdir()) == ["counterexample-0.json"]
 
 
 def test_verify_random_batch(tmp_path, capsys):

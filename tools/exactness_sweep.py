@@ -17,10 +17,16 @@ both trace files:
 - 200 seeded product-mix markets on the tie face v_s - delta = v_w with
   delta > 0, where every split of a demanded size is a maximizer, so the
   final allocation's choice among them shows;
-- and 30 seeded multi-unit markets on epsilon grids 1, 1/2 and 1/10 with a
+- 30 seeded multi-unit markets on epsilon grids 1, 1/2 and 1/10 with a
   strong-unit bias delta > 0, so that adjusted marginals run through zero and
   below it, with zero marginals and 20 to 40 units per bidder: many
-  breakpoints for the uniform-price clocks.
+  breakpoints for the uniform-price clocks;
+- and, with `--round-cap` 1, 2 and half the engine's uncapped round count,
+  Table 1, the 12-bidder single-mode market whose UCE run refines, and the
+  first ascending and descending markets of the `wide-coarse` and
+  `narrow-fine` seed-0 pools, so the partial traces and the round-cap exit
+  are hashed too (a parallel run capped at half its rounds can stop inside
+  a later economy's sub-auction).
 
 LP runs, each through `uceauction lp --build KIND --emit-lp --solve` for
 every build kind, on Table 1 and the `dual-small` seed-0 markets, hashing the
@@ -61,7 +67,7 @@ SUBGRADIENT_ITERATIONS = (0, 1, 200)
 
 def import_checkout(root: Path):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    modules = ("cli", "generate", "lp", "model", "subgradient")
+    modules = ("auction", "cli", "generate", "lp", "model", "subgradient")
     pkg = SimpleNamespace(**{m: importlib.import_module("uceauction." + m) for m in modules})
     return pkg, importlib.import_module("workloads")
 
@@ -160,11 +166,13 @@ def read_or_missing(path: str) -> bytes:
     return data
 
 
-def engine_hash(pkg, instance_path: str, engine: str, workdir: str) -> str:
+def engine_hash(pkg, instance_path: str, engine: str, workdir: str, cap=None) -> str:
     trace_json = os.path.join(workdir, "trace.json")
     trace_csv = os.path.join(workdir, "trace.csv")
     argv = ["run", instance_path, "--engine", engine,
             "--trace-json", trace_json, "--trace-csv", trace_csv]
+    if cap is not None:
+        argv += ["--round-cap", str(cap)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -191,6 +199,26 @@ def auction_runs(pkg, workloads):
         yield label, instance, ENGINES
     for label, instance in biased_multi_unit_markets(pkg.model):
         yield label, instance, ENGINES
+
+
+def capped_runs(pkg, workloads):
+    """(label, instance, engine, cap) of every round-capped run."""
+    markets = [
+        ("table1", table1(pkg.model)),
+        ("refine", pkg.generate.generate_product_mix(
+            seed=1, n=12, K=12, epsilon=Fraction(1, 10), value_steps_max=14, gamma_max=3,
+            update_mode="single")),
+    ]
+    for name in ("wide-coarse", "narrow-fine"):
+        pool = workloads.build_pool(pkg, workloads.WORKLOADS[name], workloads.DEFAULT_SEED)
+        for direction in ("ascending", "descending"):
+            market = next(m for m in pool if m.instance.direction == direction)
+            markets.append(("%s-%s" % (name, market.id), market.instance))
+    for label, instance in markets:
+        for engine in ENGINES:
+            rounds = getattr(pkg.auction, "run_%s_auction" % engine)(instance)[0].rounds
+            for cap in sorted({1, 2, max(rounds // 2, 1)}):
+                yield "%s-cap%d" % (label, cap), instance, engine, cap
 
 
 def solve_parts(pkg, text: bytes):
@@ -254,6 +282,11 @@ def main(argv) -> int:
             for engine in engines:
                 run_hash = engine_hash(pkg, instance_path, engine, workdir)
                 print("%s-%s %s" % (label, engine, run_hash), flush=True)
+        for label, instance, engine, cap in capped_runs(pkg, workloads):
+            with open(instance_path, "w", encoding="utf-8") as fh:
+                json.dump(pkg.model.instance_to_dict(instance), fh, indent=2, sort_keys=True)
+            run_hash = engine_hash(pkg, instance_path, engine, workdir, cap)
+            print("%s-%s %s" % (label, engine, run_hash), flush=True)
         for label, instance in lp_markets(pkg, workloads):
             with open(instance_path, "w", encoding="utf-8") as fh:
                 json.dump(pkg.model.instance_to_dict(instance), fh, indent=2, sort_keys=True)
