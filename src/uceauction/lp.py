@@ -3,14 +3,17 @@
 Builders emit the competitive-equilibrium primal/dual, their universal
 (all-economies) counterparts, the restricted dual that drives price updates,
 and the fully general explicit-allocation forms.  The solver is a desk-scale
-verifier: exact Fraction pivots over the nonzero columns of the pivot row,
-least-index anti-cycling rule, and a dual certificate that check_optimal
-verifies exactly.
+verifier: an exact two-phase simplex on sparse integer rows (nonzero int
+numerators over one row denominator) with a column-to-rows index, so a pivot
+visits only the rows with a nonzero in the entering column; least-index
+anti-cycling rule; and a dual certificate that check_optimal verifies
+exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .demand import OVER_DEMAND, UNDER_DEMAND
 from .model import Bundle, Instance, economy_members, visible_economies
@@ -22,7 +25,9 @@ ONE = Fraction(1)
 # Size guards, read at call time: builders refuse a program before building
 # it, solve refuses one whose variables times constraints exceed
 # TABLEAU_CAP before it builds the tableau, and gives up after
-# ITERATION_LIMIT pivots in one phase.
+# ITERATION_LIMIT pivots in one phase.  TABLEAU_CAP counts dense cells
+# although the rows are stored sparse: the rows fill in as pivots go, so the
+# nonzeros of the input say little about the time a solve takes.
 VARIABLE_CAP = 10**5
 GENERAL_SIZE_CAP = 10**4
 TABLEAU_CAP = 10**6
@@ -157,10 +162,20 @@ def check_optimal(lp: LinearProgram, result: SolveResult) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Two-phase simplex with the least-index (Bland) anti-cycling rule.  The
-# tableau rows are dense lists, but the programs here have a few nonzeros per
-# row, so a pivot touches only the nonzero columns of the pivot row.
+# Two-phase simplex with the least-index (Bland) anti-cycling rule, on sparse
+# integer rows.  Each tableau row, the right-hand side included under the key
+# `width`, is a dict of nonzero int numerators over one positive int row
+# denominator, kept reduced by their gcd; the reduced-cost row is stored the
+# same way as row m.  A column index lists the rows with a nonzero in each
+# column, so a pivot visits only the rows it changes.
 # ---------------------------------------------------------------------------
+
+def _integer_row(fractions_by_column: dict):
+    """Numerators over the least common denominator, which leaves them
+    coprime with it."""
+    den = lcm(*(q.denominator for q in fractions_by_column.values()))
+    return {j: q.numerator * (den // q.denominator) for j, q in fractions_by_column.items()}, den
+
 
 def solve(lp: LinearProgram) -> SolveResult:
     """Exact optimum, a vertex solution and a dual certificate, or
@@ -179,24 +194,25 @@ def solve(lp: LinearProgram) -> SolveResult:
         if v.free:
             columns.append((v.name, -1))
 
-    def dense(coeffs, sign):
-        """sign * coeffs over the columns; a free variable's minus part
-        carries the negated coefficient."""
-        row = [ZERO] * len(columns)
+    def spread(coeffs, sign):
+        """sign * coeffs by column; a free variable's minus part carries the
+        negated coefficient."""
+        row = {}
         for name, coef in coeffs.items():
-            idx = col_of[name]
-            row[idx] += sign * coef
-            if columns[idx + 1 : idx + 2] and columns[idx + 1][0] == name:
-                row[idx + 1] -= sign * coef
+            if coef:
+                idx = col_of[name]
+                row[idx] = sign * coef
+                if columns[idx + 1 : idx + 2] and columns[idx + 1][0] == name:
+                    row[idx + 1] = -sign * coef
         return row
 
     minimize = lp.sense == "min"
-    c = dense(lp.objective, ONE if minimize else -ONE)
 
     # Rows are flipped to a non-negative right-hand side.  Columns: the
     # structural ones, then row r's slack (+1), surplus (-1) or, for = rows,
     # an empty column at n_struct + r, then one artificial per >= and = row
-    # in row order.  Artificials come last, so phase 2 scans n_struct + m.
+    # in row order, then the right-hand side at `width`.  Artificials come
+    # after the slacks, so phase 2 scans n_struct + m.
     n_struct = len(columns)
     m = len(lp.constraints)
     flipped = [con.rhs < 0 for con in lp.constraints]
@@ -206,105 +222,158 @@ def solve(lp: LinearProgram) -> SolveResult:
     ]
     arts = [r for r in range(m) if rels[r] != "<="]
     art_col = {r: n_struct + m + t for t, r in enumerate(arts)}
-    unit = {"<=": ONE, ">=": -ONE, "=": ZERO}
-    tableau = [
-        dense(con.coeffs, -ONE if flip else ONE)
-        + [unit[rels[r]] if rr == r else ZERO for rr in range(m)]
-        + [ONE if rr == r else ZERO for rr in arts]
-        + [-con.rhs if flip else con.rhs]
-        for r, (con, flip) in enumerate(zip(lp.constraints, flipped))
-    ]
-    basis = [art_col.get(r, n_struct + r) for r in range(m)]
     width = n_struct + m + len(arts)
+    rows, dens = [], []
+    for r, (con, flip) in enumerate(zip(lp.constraints, flipped)):
+        row = spread(con.coeffs, -1 if flip else 1)
+        if rels[r] != "=":
+            row[n_struct + r] = 1 if rels[r] == "<=" else -1
+        if r in art_col:
+            row[art_col[r]] = 1
+        if con.rhs:
+            row[width] = -con.rhs if flip else con.rhs
+        nums, den = _integer_row(row)
+        rows.append(nums)
+        dens.append(den)
+    rows.append({})  # row m: reduced costs, set by each phase
+    dens.append(1)
+    index = [set() for _ in range(width + 1)]
+    for i, row in enumerate(rows):
+        for j in row:
+            index[j].add(i)
+    basis = [art_col.get(r, n_struct + r) for r in range(m)]
     pivots = 0
 
-    def reduced_cost_row(cost):
-        z = list(cost) + [ZERO] * (width - len(cost)) + [ZERO]
-        for r, bvar in enumerate(basis):
-            coef = z[bvar]
-            if coef:
-                for jj, x in enumerate(tableau[r]):
-                    if x:
-                        z[jj] -= coef * x
-        return z
+    def eliminate(i, col, prow):
+        """Subtract from row i the multiple of row prow that clears col;
+        only prow's numerators matter, not its denominator."""
+        row = rows[i]
+        p = prow[col]
+        b = row[col]
+        g = gcd(p, b)
+        den = dens[i]
+        if g != p:
+            scale = p // g
+            for j in row:
+                row[j] *= scale
+            den *= scale
+        b //= g
+        for j, x in prow.items():
+            old = row.get(j)
+            if old is None:
+                row[j] = -b * x
+                index[j].add(i)
+            else:
+                new = old - b * x
+                if new:
+                    row[j] = new
+                else:
+                    del row[j]
+                    index[j].discard(i)
+        if den != 1:
+            g = gcd(den, *row.values())
+            if g != 1:
+                for j in row:
+                    row[j] //= g
+                den //= g
+        dens[i] = den
 
     def pivot(r, col):
-        """Pivot on (r, col); returns the nonzero columns of the new row r."""
+        """Pivot on (r, col): scale row r so its entry in col is 1, then
+        clear col from every other row that has it."""
         nonlocal pivots
         pivots += 1
-        trow = tableau[r]
-        nonzero = [jj for jj, x in enumerate(trow) if x]
-        inv = ONE / trow[col]
-        for jj in nonzero:
-            trow[jj] *= inv
-        for rr in range(m):
-            other = tableau[rr]
-            factor = other[col]
-            if rr != r and factor:
-                for jj in nonzero:
-                    other[jj] -= factor * trow[jj]
+        prow = rows[r]
+        g = gcd(*prow.values())
+        if prow[col] < 0:
+            g = -g
+        if g != 1:
+            for j in prow:
+                prow[j] //= g
+        dens[r] = prow[col]
+        # Afterwards col is a unit column, so its index restarts as {r}
+        # instead of keeping the table it grew to.
+        others = index[col]
+        index[col] = {r}
+        for i in others:
+            if i != r:
+                eliminate(i, col, prow)
         basis[r] = col
-        return nonzero
 
-    def run_phase(z, scan):
+    def set_costs(cost):
+        """Make row m the reduced costs of `cost` (a dict by column) in the
+        current basis."""
+        for j in rows[m]:
+            index[j].discard(m)
+        rows[m], dens[m] = _integer_row(cost)
+        for j in rows[m]:
+            index[j].add(m)
+        for r, bvar in enumerate(basis):
+            if bvar in rows[m]:
+                eliminate(m, bvar, rows[r])
+
+    def run_phase(scan):
         """Pivot until no column below `scan` has a negative reduced cost;
-        returns z, or None when the entering column is unbounded."""
+        returns False when the entering column is unbounded."""
+        z = rows[m]
         for _ in range(ITERATION_LIMIT):
-            entering = next((jj for jj in range(scan) if z[jj] < 0), None)
+            entering = min((j for j, x in z.items() if x < 0 and j < scan), default=None)
             if entering is None:
-                return z
+                return True
+            # Least ratio rhs/a over rows with a > 0, ties to the least basic
+            # variable; the row denominators cancel, so compare
+            # rhs_i * a_leaving with rhs_leaving * a_i.
             leaving = None
-            best_ratio = None
-            for r in range(m):
-                a = tableau[r][entering]
+            for i in index[entering]:
+                if i == m:
+                    continue
+                a = rows[i][entering]
                 if a > 0:
-                    ratio = tableau[r][width] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = r
+                    rhs = rows[i].get(width, 0)
+                    if leaving is None:
+                        leaving, best_a, best_rhs = i, a, rhs
+                        continue
+                    lhs, bound = rhs * best_a, best_rhs * a
+                    if lhs < bound or (lhs == bound and basis[i] < basis[leaving]):
+                        leaving, best_a, best_rhs = i, a, rhs
             if leaving is None:
-                return None  # unbounded
-            factor = z[entering]
-            trow = tableau[leaving]
-            for jj in pivot(leaving, entering):
-                z[jj] -= factor * trow[jj]
+                return False  # unbounded
+            pivot(leaving, entering)
         raise IterationLimit("simplex exceeded %d iterations" % ITERATION_LIMIT)
 
     if arts:
-        z = run_phase(reduced_cost_row([ZERO] * (n_struct + m) + [ONE] * len(arts)), width)
-        if z is None:
+        set_costs({art_col[r]: ONE for r in arts})
+        if not run_phase(width):
             raise IterationLimit("phase 1 reported unbounded; malformed program")
-        if -z[width] > 0:
+        if rows[m].get(width, 0) < 0:
             return SolveResult(status="infeasible", pivots=pivots)
         # Drive artificials out of the basis where possible.
         for r in range(m):
             if basis[r] >= n_struct + m:
-                target = next((jj for jj in range(n_struct + m) if tableau[r][jj] != 0), None)
+                target = min((j for j in rows[r] if j < n_struct + m), default=None)
                 if target is not None:
                     pivot(r, target)
 
-    z = run_phase(reduced_cost_row(c), n_struct + m)
-    if z is None:
+    set_costs(spread(lp.objective, ONE if minimize else -ONE))
+    if not run_phase(n_struct + m):
         return SolveResult(status="unbounded", pivots=pivots)
 
-    values = [ZERO] * width
-    for r, bvar in enumerate(basis):
-        values[bvar] = tableau[r][width]
+    values = {bvar: Fraction(rows[r].get(width, 0), dens[r]) for r, bvar in enumerate(basis)}
     solution = {}
     for idx, (name, sign) in enumerate(columns):
-        solution[name] = solution.get(name, ZERO) + sign * values[idx]
+        solution[name] = solution.get(name, ZERO) + sign * values.get(idx, ZERO)
     obj = objective_value(lp, solution)
     # z[col] = cost[col] - y.A[col] for the internal min problem, where the
     # slack of row r is +e_r, its surplus -e_r and its artificial +e_r (all
     # of cost 0 in phase 2); an = row reads its artificial.  Undo the row
     # flip and, for max, the cost sign.
+    z, dz = rows[m], dens[m]
     dual = {}
     for r, con in enumerate(lp.constraints):
-        y = z[n_struct + r] if rels[r] == ">=" else -z[art_col.get(r, n_struct + r)]
+        if rels[r] == ">=":
+            y = Fraction(z.get(n_struct + r, 0), dz)
+        else:
+            y = -Fraction(z.get(art_col.get(r, n_struct + r), 0), dz)
         if flipped[r]:
             y = -y
         dual[con.name] = y if minimize else -y

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd
 from typing import Iterator, NamedTuple, Union
 
 MAIN_ECONOMY = 0
@@ -63,7 +64,15 @@ def lattice_formatter(unit: Fraction):
     """format_rational(k * unit) for integers k, memoized: the engines keep
     their numbers as whole multiples of one unit and make one of these per
     run to write them."""
-    return lru_cache(maxsize=None)(lambda k: str(k * unit))
+    num, den = unit.numerator, unit.denominator
+
+    @lru_cache(maxsize=None)
+    def fmt(k):
+        n = k * num
+        g = gcd(n, den)
+        return "%d" % (n // g) if g == den else "%d/%d" % (n // g, den // g)
+
+    return fmt
 
 
 class Bundle(NamedTuple):
@@ -101,9 +110,10 @@ class MultiUnitValuation:
         if any(m < 0 for m in marginals):
             raise InstanceValidationError("marginal values must be non-negative")
 
-    @property
+    @cached_property
     def capacity(self) -> int:
-        """Largest unit count with strictly positive marginal value."""
+        """Largest unit count with strictly positive marginal value.  Cached
+        on first use; not a dataclass field, so == and hash ignore it."""
         cap = 0
         for t, m in enumerate(self.marginals):
             if m > 0:

@@ -1,3 +1,5 @@
+import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -66,6 +68,124 @@ def test_simplex_infeasible_and_unbounded():
     unb.objective = {"x": F(1)}
     unb.add_constraint("c1", {"x": F(-1)}, "<=", F(5))
     assert _solve(unb).status == "unbounded"
+
+
+def _random_coef(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 3))
+
+
+def _random_boxed_program(rng, sense):
+    """Up to 4 variables, one of them free, each boxed by bound rows, and up
+    to 4 rows mixing <=, >= and = with non-integer coefficients and
+    right-hand sides of either sign."""
+    names = ["x%d" % v for v in range(rng.randint(1, 4))]
+    free = rng.choice(names)
+    prog = lp.LinearProgram(name="random", sense=sense)
+    for name in names:
+        prog.add_variable(name, free=name == free)
+    prog.objective = {name: _random_coef(rng) for name in names}
+    for r in range(rng.randint(1, 4)):
+        coeffs = {name: _random_coef(rng) for name in rng.sample(names, rng.randint(1, len(names)))}
+        rhs = F(rng.randint(-6, 6), rng.randint(1, 3))
+        prog.add_constraint("r%d" % r, coeffs, rng.choice(("<=", ">=", "=")), rhs)
+    for name in names:
+        prog.add_constraint("ub_" + name, {name: F(1)}, "<=", F(rng.randint(1, 5)))
+    prog.add_constraint("lb_" + free, {free: F(1)}, ">=", F(-rng.randint(1, 5)))
+    return prog
+
+
+def _solve_square(matrix, rhs):
+    """The unique x with matrix . x = rhs, by exact Gauss-Jordan
+    elimination, or None when the matrix is singular."""
+    n = len(rhs)
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if aug[r][c]), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            factor = aug[r][c]
+            if r != c and factor:
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[c])]
+    return [row[n] for row in aug]
+
+
+def _vertex_optimum(prog):
+    """Best objective over the feasible vertices, or None when there is
+    none.  A vertex is the solution of a square system of tight
+    constraints (rows and sign bounds); a bounded program that is feasible
+    attains its optimum at one."""
+    names = [v.name for v in prog.variables]
+    tight = [(con.coeffs, con.rhs) for con in prog.constraints]
+    tight += [({v.name: F(1)}, F(0)) for v in prog.variables if not v.free]
+    better = max if prog.sense == "max" else min
+    best = None
+    for subset in itertools.combinations(tight, len(names)):
+        x = _solve_square(
+            [[coeffs.get(name, F(0)) for name in names] for coeffs, _ in subset],
+            [rhs for _, rhs in subset],
+        )
+        if x is not None and lp.check_feasible(prog, dict(zip(names, x))):
+            value = lp.objective_value(prog, dict(zip(names, x)))
+            best = value if best is None else better(best, value)
+    return best
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_simplex_matches_vertex_enumeration(sense):
+    rng = random.Random("vertex-enumeration:" + sense)
+    statuses = []
+    for _ in range(60):
+        prog = _random_boxed_program(rng, sense)
+        best = _vertex_optimum(prog)
+        res = _solve(prog)
+        statuses.append(res.status)
+        if best is None:
+            assert res.status == "infeasible", lp.emit_lp_text(prog)
+        else:
+            assert res.status == "optimal", lp.emit_lp_text(prog)
+            assert res.objective == best, lp.emit_lp_text(prog)
+    assert statuses.count("optimal") >= 20 and statuses.count("infeasible") >= 5
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_simplex_reports_contradictions_and_open_rays(sense):
+    rng = random.Random("rays:" + sense)
+    unbounded = 0
+    for _ in range(30):
+        prog = _random_boxed_program(rng, sense)
+        # A variable t with no upper bound and an improving cost that only
+        # loosens the rows it enters opens a ray from every feasible point.
+        # Those rows hold for t large enough, so the program is feasible
+        # exactly when the rest of its rows are.
+        rest = replace(prog, constraints=[])
+        ray = replace(
+            prog,
+            variables=prog.variables + [lp.Variable("t")],
+            objective={**prog.objective, "t": F(1 if sense == "max" else -1)},
+            constraints=[],
+        )
+        for con in prog.constraints:
+            loosen = rng.randint(0, 3) if con.rel != "=" and con.name.startswith("r") else 0
+            if loosen:
+                t = F(-loosen if con.rel == "<=" else loosen)
+                ray.constraints.append(replace(con, coeffs={**con.coeffs, "t": t}))
+            else:
+                ray.constraints.append(con)
+                rest.constraints.append(con)
+        feasible = _vertex_optimum(rest) is not None
+        assert _solve(ray).status == ("unbounded" if feasible else "infeasible"), lp.emit_lp_text(ray)
+        unbounded += feasible
+        # Two rows that bound the same sum from both sides, one step apart.
+        total = {v.name: F(1) for v in prog.variables}
+        cut = F(rng.randint(-3, 3))
+        prog.add_constraint("clash_lo", total, ">=", cut + 1)
+        prog.add_constraint("clash_hi", total, "<=", cut)
+        assert _vertex_optimum(prog) is None
+        assert _solve(prog).status == "infeasible"
+    assert unbounded >= 10
 
 
 def _signed_toy(sense):
