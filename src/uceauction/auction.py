@@ -12,7 +12,7 @@ only for its outcome and its records.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -312,25 +312,41 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
     raise RoundLimitExceeded("no termination within %d rounds" % cap, trace)
 
 
+def marginal_pool(tables, members) -> list:
+    """The members' adjusted marginals t[s] - t[s-1], repeats kept, sorted
+    ascending; tables maps each agent to a table over sizes 0..capacity.
+
+    Every table the engines build is concave in the size: best adjusted
+    values are prefix sums of non-increasing marginals (multi-unit) or linear
+    (product-mix), and envelope prices are a minimum of lines.  So an agent
+    facing unit price p demands exactly its sizes up to its count of
+    marginals above p, and at its discretion those equal to p, and the best
+    "at most K units" total of an economy takes its K largest positive
+    marginals: every such question is a count or a slice of this list.
+    """
+    return sorted([b - a for i in members for a, b in zip(tables[i], tables[i][1:])])
+
+
+def _economy_optimum(tables, members, K):
+    """Max of sum_i tables[i][s_i] over the members' sizes with sum s_i <= K:
+    the size-0 entries plus the K largest positive marginals."""
+    pool = marginal_pool(tables, members)
+    start = max(len(pool) - K, bisect_right(pool, 0))
+    return sum(tables[i][0] for i in members) + sum(pool[start:])
+
+
 def _uniform_clearing_price(instance, economy, values):
     """Market-clearing uniform unit price of one economy, in adjusted terms.
 
-    Pools every member's per-unit marginal values (differences of the best
-    adjusted value per bundle size, which is concave for the supported
-    valuation families) and prices the supply at the (K+1)-th highest
-    marginal, clamped at zero.  At that price at most K units are strictly
+    Prices the supply at the (K+1)-th highest of the members' marginal
+    values, clamped at zero.  At that price at most K units are strictly
     profitable and at least K are weakly profitable, so demand brackets the
     supply; below the clamp the price floor binds instead.
     """
-    pool = []
-    for i in economy_members(economy, instance.n):
-        best = values[i]
-        for size in range(1, len(best)):
-            pool.append(best[size] - best[size - 1])
-    pool.sort(reverse=True)
+    pool = marginal_pool(values, economy_members(economy, instance.n))
     if len(pool) <= instance.K:
         return 0
-    return max(pool[instance.K], 0)
+    return max(pool[-instance.K - 1], 0)
 
 
 def _refine_state(instance, state, values, reports):
@@ -420,38 +436,6 @@ def final_allocation(reports, K, values):
     return dict(zip(agents, chosen))
 
 
-def _merge(table, gains, K):
-    """(max,+) merge of an "at most u units" table with one more agent, who
-    takes exactly one size s (zero included) and gains gains[s]."""
-    top = len(gains) - 1
-    return [
-        max(table[u - s] + gains[s] for s in range(min(u, top) + 1))
-        for u in range(K + 1)
-    ]
-
-
-def _economy_optima(per_agent, K):
-    """Optimum of sum_i per_agent[i][s_i] over sizes with sum s_i <= K, for
-    the main economy (index 0) and every marginal economy i (agent i out).
-
-    Prefix and suffix group-knapsack tables over the agents are built once;
-    economy i joins prefix i-1 and suffix i+1 in one O(K) pass.
-    """
-    n = len(per_agent)
-    prefix = [[0] * (K + 1)]
-    for i in range(1, n + 1):
-        prefix.append(_merge(prefix[-1], per_agent[i], K))
-    suffix = [[0] * (K + 1)]
-    for i in range(n, 0, -1):
-        suffix.append(_merge(suffix[-1], per_agent[i], K))
-    suffix.reverse()  # suffix[t] covers agents t+1..n
-    optima = [prefix[n][K]]
-    for i in range(1, n + 1):
-        before, after = prefix[i - 1], suffix[i]
-        optima.append(max(before[u] + after[K - u] for u in range(K + 1)))
-    return optima
-
-
 @dataclass(frozen=True)
 class TerminalTables:
     """Exact per-economy optima at one price state, all from size tables.
@@ -488,21 +472,23 @@ class TerminalTables:
 
 
 def terminal_tables(instance, state, values) -> TerminalTables:
-    """Certification and payment data for every economy at one price state,
-    in O(n*K*gamma) exact steps (gamma: the largest agent capacity).
+    """Certification and payment data for every economy at one price state.
     values are the agents' best value tables in the state's units: the run's
-    value_tables(instance) for a state in epsilon units.
+    value_tables(instance) for a state in epsilon units.  Each economy's
+    welfare and revenue optimum is read off the sorted marginals of its
+    members' value and price tables (marginal_pool).
     """
-    n = instance.n
+    n, K = instance.n, instance.K
     prices, utility = {}, {}
     for i in range(1, n + 1):
         prices[i] = envelope_price_by_size(state, i, len(values[i]) - 1)
         utility[i] = max(v - p for v, p in zip(values[i], prices[i]))
     total = sum(utility.values())
+    economies = [economy_members(j, n) for j in range(0, n + 1)]
     return TerminalTables(
         prices=prices,
-        welfare=_economy_optima(values, instance.K),
-        revenue=_economy_optima(prices, instance.K),
+        welfare=[_economy_optimum(values, members, K) for members in economies],
+        revenue=[_economy_optimum(prices, members, K) for members in economies],
         utility_sum=[total] + [total - utility[i] for i in range(1, n + 1)],
     )
 
@@ -516,36 +502,27 @@ def vcg_payments(tables: TerminalTables, allocation):
     return {i: tables.revenue[i] - (total - revenue[i]) for i in tables.prices}
 
 
-# Longest run of rounds that one demand query may stand for in a
-# uniform-price clock; None leaves runs unbounded, and 1 queries every round,
-# which is the epsilon-stepped reference the event-driven clock must equal.
+# Longest run of rounds that one evaluation of the kappa sums may stand for
+# in a uniform-price clock; None leaves runs unbounded, and 1 evaluates every
+# round, which is the epsilon-stepped reference the event-driven clock must
+# equal.
 _MAX_JUMP = None
 
 
-def _clock_breakpoints(members, values):
-    """The members' distinct adjusted marginal values, sorted.  Each best
-    value table is concave in size, so at unit price p an agent demands the
-    sizes s with marginal values[s] - values[s-1] above p, and those equal to
-    p at its discretion: reports change only where p meets one of these."""
-    return sorted({
-        values[i][s] - values[i][s - 1] for i in members for s in range(1, len(values[i]))
-    })
-
-
-def _run_length(breaks, p, diag):
+def _run_length(pool, p, diag):
     """Rounds the clock takes from p, stepping one epsilon unit in the
-    direction of diag, before it reaches the next breakpoint (or 0,
-    descending).  Every price it passes lies strictly between two
-    neighbouring breakpoints, as p does, so all of them give p's reports.  A
-    breakpoint is a run of one."""
-    at = bisect_left(breaks, p)
-    if at < len(breaks) and breaks[at] == p:
+    direction of diag, before it reaches the next marginal of the pool (or
+    0, descending).  Every price it passes lies strictly between two
+    neighbouring marginals, as p does, so all of them give p's kappa sums.
+    A price on a marginal is a run of one."""
+    at = bisect_left(pool, p)
+    if at < len(pool) and pool[at] == p:
         return 1
     if diag == OVER_DEMAND:
-        # Above every breakpoint nothing is demanded, so one lies above p.
-        target = breaks[at]
+        # Above every marginal nothing is demanded, so one lies above p.
+        target = pool[at]
     else:
-        target = max(breaks[at - 1], 0) if at else 0
+        target = max(pool[at - 1], 0) if at else 0
     return abs(target - p)
 
 
@@ -564,32 +541,35 @@ def _run_linear(instance, members, round_cap, lat):
     """Uniform-price clock on a subset of agents; returns per-run summary,
     its clearing price in epsilon units.
 
-    The clock is event-driven: it queries the members once per run of
-    rounds whose reports are identical (see _run_length) and appends the
-    run's rows at once.  Rounds, queries and rows count and read exactly as
-    if it queried every epsilon step.  It settles only at a run's first
-    round, where the reports were queried at that round's own price.
+    At unit price p the members demand between their counts of marginals
+    above p and at least p (marginal_pool), so the clock reads its kappa
+    sums off the sorted pool with two bisections.  It is event-driven: one
+    evaluation stands for a run of rounds with equal sums (see _run_length),
+    whose rows it appends at once.  Rounds, queries and rows count and read
+    exactly as if it queried every member every epsilon step; the members
+    are queried only at the settling round, for the reports final_allocation
+    selects from.  It settles only at a run's first round.
     """
     values, faces, fmt = lat.values, lat.faces, lat.fmt
-    breaks = _clock_breakpoints(members, values)
+    pool = marginal_pool(values, members)
     p = lat.p_init
     rounds = 0
     queries = 0
     rows = []
     while rounds < round_cap:
-        reports = {
-            i: demand_at_linear_price(
-                instance.valuation(i), i, p, lat.delta, values[i], faces[i], lat.unit
-            )
-            for i in members
-        }
-        low = sum(r.kappa_min for r in reports.values())
-        high = sum(r.kappa_max for r in reports.values())
+        low = len(pool) - bisect_right(pool, p)
+        high = len(pool) - bisect_left(pool, p)
         diag = diagnose(low, high, instance.K)
         if settled(diag, p):
             rounds += 1
             queries += len(members)
             rows.append(_clock_row(rounds, fmt(p), low, high, diag))
+            reports = {
+                i: demand_at_linear_price(
+                    instance.valuation(i), i, p, lat.delta, values[i], faces[i], lat.unit
+                )
+                for i in members
+            }
             allocation = final_allocation(reports, instance.K, values)
             return {
                 "allocation": allocation,
@@ -598,7 +578,7 @@ def _run_linear(instance, members, round_cap, lat):
                 "queries": queries,
                 "rows": rows,
             }
-        length = min(_run_length(breaks, p, diag), round_cap - rounds)
+        length = min(_run_length(pool, p, diag), round_cap - rounds)
         if _MAX_JUMP is not None:
             length = min(length, _MAX_JUMP)
         step = 1 if diag == OVER_DEMAND else -1

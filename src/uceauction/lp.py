@@ -46,6 +46,9 @@ class LpFormatError(ValueError):
     """Malformed LP text."""
 
 
+RELATIONS = ("<=", "=", ">=")
+
+
 @dataclass(frozen=True)
 class Variable:
     name: str
@@ -67,15 +70,21 @@ class LinearProgram:
     variables: list = field(default_factory=list)
     objective: dict = field(default_factory=dict)
     constraints: list = field(default_factory=list)
+    # The names in variables, kept by add_variable, so that add_constraint
+    # checks a constraint in time linear in its terms.
+    _declared: set = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._declared = {v.name for v in self.variables}
 
     def add_variable(self, name, free=False):
         self.variables.append(Variable(name, free))
+        self._declared.add(name)
         return name
 
     def add_constraint(self, name, coeffs, rel, rhs):
-        assert rel in ("<=", "=", ">=")
-        declared = {v.name for v in self.variables}
-        unknown = set(coeffs) - declared
+        assert rel in RELATIONS
+        unknown = set(coeffs) - self._declared
         if unknown:
             raise ValueError("constraint %s references undeclared variables %s" % (name, unknown))
         self.constraints.append(
@@ -832,17 +841,26 @@ def emit_lp_text(lp: LinearProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_terms(tokens):
+def _parse_number(token, line):
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise LpFormatError("bad number %r in line %r" % (token, line)) from None
+
+
+def _parse_terms(tokens, line):
+    """Signed `coefficient name` terms as {name: coefficient}; the `_zero`
+    placeholder of an empty expression is dropped."""
     coeffs = {}
     idx = 0
     while idx < len(tokens):
         sign = 1
-        tok = tokens[idx]
-        if tok in ("+", "-"):
-            sign = -1 if tok == "-" else 1
+        if tokens[idx] in ("+", "-"):
+            sign = -1 if tokens[idx] == "-" else 1
             idx += 1
-            tok = tokens[idx]
-        coef = Fraction(tok)
+        if idx + 2 > len(tokens):
+            raise LpFormatError("truncated term in line %r" % line)
+        coef = _parse_number(tokens[idx], line)
         name = tokens[idx + 1]
         idx += 2
         if name != "_zero":
@@ -851,38 +869,59 @@ def _parse_terms(tokens):
 
 
 def parse_lp_text(text: str) -> LinearProgram:
+    """The program written by emit_lp_text; LpFormatError naming the first
+    malformed line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("\\")]
     if not lines or lines[0] not in ("Maximize", "Minimize"):
-        raise LpFormatError("expected Maximize or Minimize header")
+        raise LpFormatError(
+            "expected Maximize or Minimize header, got %r" % (lines[0] if lines else "")
+        )
     lp = LinearProgram(name="parsed", sense="max" if lines[0] == "Maximize" else "min")
     section = "objective"
     free = set()
     declared = []
     body_constraints = []
     for line in lines[1:]:
+        if section == "End":
+            raise LpFormatError("text after End: %r" % line)
         if line in ("Subject To", "Bounds", "General", "End"):
             section = line
             continue
         if section == "objective":
             if not line.startswith("obj:"):
                 raise LpFormatError("expected objective line, got %r" % line)
-            lp.objective = _parse_terms(line[len("obj:"):].split())
+            lp.objective = _parse_terms(line[len("obj:"):].split(), line)
+            objective_line = line
         elif section == "Subject To":
-            name, _, rest = line.partition(":")
+            name, colon, rest = line.partition(":")
             tokens = rest.split()
-            rel_idx = next(i for i, t in enumerate(tokens) if t in ("<=", "=", ">="))
-            body_constraints.append(
-                (name.strip(), _parse_terms(tokens[:rel_idx]), tokens[rel_idx], Fraction(tokens[rel_idx + 1]))
-            )
+            if not colon or len(tokens) < 2 or tokens[-2] not in RELATIONS:
+                raise LpFormatError("expected 'name: terms <=|=|>= rhs', got %r" % line)
+            body_constraints.append((
+                line, name.strip(), _parse_terms(tokens[:-2], line), tokens[-2],
+                _parse_number(tokens[-1], line),
+            ))
         elif section == "Bounds":
-            name, kw = line.split()
-            if kw != "free":
+            tokens = line.split()
+            if len(tokens) != 2 or tokens[1] != "free":
                 raise LpFormatError("unsupported bound line %r" % line)
-            free.add(name)
+            free.add(tokens[0])
         elif section == "General":
-            declared.append(line.split()[0])
+            tokens = line.split()
+            if len(tokens) != 1:
+                raise LpFormatError("expected one variable name, got %r" % line)
+            declared.append(tokens[0])
     for name in declared:
         lp.add_variable(name, free=name in free)
-    for name, coeffs, rel, rhs in body_constraints:
-        lp.add_constraint(name, coeffs, rel, rhs)
+    unknown = set(lp.objective) - set(declared)
+    if unknown:
+        raise LpFormatError(
+            "objective references undeclared variables %s, in line %r"
+            % (sorted(unknown), objective_line)
+        )
+    for line, name, coeffs, rel, rhs in body_constraints:
+        try:
+            lp.add_constraint(name, coeffs, rel, rhs)
+        except ValueError as exc:
+            raise LpFormatError("%s, in line %r" % (exc, line)) from None
     return lp

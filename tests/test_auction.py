@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -282,8 +283,14 @@ def _criterion3_instances():
         yield replace(family(rng, direction=direction), update_mode=mode)
 
 
+def _price_fn(state):
+    """rho_adjusted at one state, memoized: the oracles price each (agent,
+    bundle) pair many times."""
+    return lru_cache(maxsize=None)(lambda i, k: rho_adjusted(state, i, k))
+
+
 def _oracle_failures(inst, state):
-    return set(oracle.certify_uce(inst, lambda i, k: rho_adjusted(state, i, k)).failures())
+    return set(oracle.certify_uce(inst, _price_fn(state)).failures())
 
 
 def test_certification_matches_oracle_on_random_states():
@@ -313,31 +320,40 @@ def test_certification_matches_oracle_on_random_states():
     assert failing > checked // 2
 
 
+def _real_value_tables(inst):
+    """Every agent's best adjusted value per size in real units, the units
+    of outcome.final_state and of the states the records hold (value_tables
+    counts epsilon steps)."""
+    return {i: best_value_by_size(inst.valuation(i), inst.delta) for i in range(1, inst.n + 1)}
+
+
 def test_terminal_tables_match_oracle_on_engine_states():
-    """At every terminal state of criterion 3's runs, including the rejected
-    ones a refine step follows, verdicts, optima and payments equal the
+    """At every terminal state of criterion 3's runs and of biased multi-unit
+    runs (zero and negative adjusted marginals), including the rejected ones
+    a refine step follows, verdicts, optima and payments equal the
     oracle's."""
-    rejected = 0
-    for inst in _criterion3_instances():
+    rejected = biased = 0
+    for inst in list(_criterion3_instances()) + list(_biased_multi_unit_markets(30)):
+        values = _real_value_tables(inst)
         out, trace = run_uce_auction(inst)
         for record in trace.records:
             if "witness" in record:
                 state = _state_from_record(record, inst.n, inst.delta)
                 expected = _oracle_failures(inst, state)
                 assert expected
-                assert set(terminal_tables(inst, state, value_tables(inst)).failures()) == expected
+                assert set(terminal_tables(inst, state, values).failures()) == expected
                 assert set(record["witness"]) == expected
                 rejected += 1
         state = out.final_state
-        tables = terminal_tables(inst, state, value_tables(inst))
+        price_fn = _price_fn(state)
+        tables = terminal_tables(inst, state, values)
         assert tables.failures() == {} and _oracle_failures(inst, state) == set()
         for j in range(0, inst.n + 1):
             assert tables.welfare[j] == oracle.efficient_value(inst, j)[0]
-        expected = oracle.vcg_from_uce(
-            inst, lambda i, k: rho_adjusted(state, i, k), out.allocation
-        )
-        assert out.payments == expected
-    assert rejected > 0
+            assert tables.revenue[j] == oracle.revenue_max(inst, j, price_fn)[0]
+        assert out.payments == oracle.vcg_from_uce(inst, price_fn, out.allocation)
+        biased += inst.delta > 0 and inst.epsilon != 1
+    assert rejected > 0 and biased >= 10
 
 
 def _normalized(state):
@@ -592,9 +608,9 @@ def test_capped_clocks_equal_the_stepped_reference(table1, monkeypatch):
 
 
 def test_clock_queries_once_per_run(monkeypatch):
-    """On a narrow-fine market the uniform-price clock asks each member once
-    per run of rounds (between breakpoints, or at one), yet reports the
-    paper's count, one query per member per round."""
+    """On a narrow-fine market each uniform-price clock asks each of its
+    members once, at the settling round, yet reports the paper's count, one
+    query per member per round."""
     inst = generate_product_mix(seed=0, n=4, K=12, epsilon=F(1, 100), value_steps_max=150)
     calls = []
     real = auction.demand_at_linear_price
@@ -603,20 +619,38 @@ def test_clock_queries_once_per_run(monkeypatch):
     )
     out, trace = run_linear_auction(inst)
     assert out.queries == out.rounds * inst.n
-    breakpoints = {
-        values[s] - values[s - 1]
-        for i in range(1, inst.n + 1)
-        for values in [best_value_by_size(inst.valuation(i), inst.delta)]
-        for s in range(1, len(values))
-    }
-    prices = [parse_rational(row["p"]) for row in trace.records]
-    runs = sum(
-        1
-        for t, p in enumerate(prices)
-        if t == 0 or p == 0 or p in breakpoints or prices[t - 1] in breakpoints
+    # (valuation, agent, price in epsilon units, ...) per call.
+    assert sorted(args[1] for args in calls) == list(range(1, inst.n + 1))
+    assert {args[2] for args in calls} == {parse_rational(trace.records[-1]["p"]) / inst.epsilon}
+    assert out.rounds > 10
+    calls.clear()
+    out, _ = run_parallel_auction(inst)
+    assert len(calls) == inst.n * inst.n
+    assert out.queries == sum(
+        rounds * (inst.n if j == 0 else inst.n - 1)
+        for j, rounds in out.details["rounds_per_economy"].items()
     )
-    assert len(calls) <= inst.n * runs
-    assert runs * 10 < out.rounds
+
+
+def test_clock_kappa_sums_match_enumeration():
+    """Every uniform-price clock row's kappa sums, read off the sorted pool
+    of marginals, equal the sums of the enumeration reference's reports at
+    the row's price: criterion 3's instances and biased multi-unit markets."""
+    rows = 0
+    for inst in list(_criterion3_instances()) + list(_biased_multi_unit_markets(30)):
+        _, trace = run_linear_auction(inst)
+        for row in trace.records:
+            p = parse_rational(row["p"])
+            reports = [
+                oracle.demand_at_linear_price_by_enumeration(inst.valuation(i), i, p, inst.delta)
+                for i in range(1, inst.n + 1)
+            ]
+            assert (row["sum_kappa_min"], row["sum_kappa_max"]) == (
+                sum(r.kappa_min for r in reports),
+                sum(r.kappa_max for r in reports),
+            )
+            rows += 1
+    assert rows > 1000
 
 
 def test_off_lattice_clock_price_is_an_invariant_failure(table1):

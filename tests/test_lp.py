@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -386,9 +387,43 @@ def test_emit_parse_round_trip(table1):
         assert lp.emit_lp_text(back) == text
 
 
-def test_parse_rejects_garbage():
-    with pytest.raises(lp.LpFormatError):
-        lp.parse_lp_text("hello world\n")
+_VALID_LP = [
+    "Maximize", " obj: + 3 x", "Subject To", " c1: + 1 x + 2 y <= 4", "Bounds", " y free",
+    "General", " x", " y", "End",
+]
+
+
+def _with_line(index, line):
+    return "\n".join(_VALID_LP[:index] + [line] + _VALID_LP[index + 1:]) + "\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param("hello world\n", "hello world", id="no-header"),
+    pytest.param(_with_line(1, " obj: + 3"), "obj: + 3", id="truncated-term"),
+    pytest.param(_with_line(1, " obj: + 1/0 x"), "obj: + 1/0 x", id="zero-denominator"),
+    pytest.param(_with_line(1, " obj: + three x"), "obj: + three x", id="bad-coefficient"),
+    pytest.param(_with_line(1, " obj: + 3 x + 5 z"), "obj: + 3 x + 5 z", id="undeclared-objective"),
+    pytest.param(_with_line(3, " c1: + 1 x + 2 y <="), "c1: + 1 x + 2 y <=", id="no-rhs"),
+    pytest.param(_with_line(3, " c1: + 1 x + 2 y 4"), "c1: + 1 x + 2 y 4", id="no-relation"),
+    pytest.param(_with_line(3, " c1: + 1 x + 2 y < 4"), "c1: + 1 x + 2 y < 4", id="strict-relation"),
+    pytest.param(_with_line(3, " + 1 x + 2 y <= 4"), "+ 1 x + 2 y <= 4", id="no-name"),
+    pytest.param(_with_line(3, " c1: + 1 x + 2 y <= 1/0"), "c1: + 1 x + 2 y <= 1/0", id="bad-rhs"),
+    pytest.param(_with_line(3, " c1: + 1 x + 2 z <= 4"), "c1: + 1 x + 2 z <= 4", id="undeclared"),
+    pytest.param(_with_line(5, " y free now"), "y free now", id="three-token-bound"),
+    pytest.param(_with_line(5, " y"), "y", id="one-token-bound"),
+    pytest.param(_with_line(7, " x y"), "x y", id="two-names"),
+    pytest.param("\n".join(_VALID_LP + ["x"]) + "\n", "x", id="after-end"),
+])
+def test_parse_rejects_garbage(text, line):
+    """Every malformed line raises LpFormatError, and the message quotes it."""
+    with pytest.raises(lp.LpFormatError, match=re.escape(repr(line))):
+        lp.parse_lp_text(text)
+
+
+def test_parse_accepts_the_valid_lines():
+    prog = lp.parse_lp_text("\n".join(_VALID_LP) + "\n")
+    assert prog.constraints == [lp.Constraint("c1", {"x": F(1), "y": F(2)}, "<=", F(4))]
+    assert [(v.name, v.free) for v in prog.variables] == [("x", False), ("y", True)]
 
 
 def test_general_instance_pair_solves_and_certifies():

@@ -21,6 +21,10 @@ both trace files:
   strong-unit bias delta > 0, so that adjusted marginals run through zero and
   below it, with zero marginals and 20 to 40 units per bidder: many
   breakpoints for the uniform-price clocks;
+- two large multi-unit markets at epsilon = 1/100,
+  `generate_multi_unit(seed=3, n=12, K=200)` and `(seed=3, n=30, K=600)`,
+  whose capacities (up to 2K/n units per bidder) make the terminal phase's
+  optima and the clocks' kappa sums range over many marginals;
 - and, with `--round-cap` 1, 2 and half the engine's uncapped round count,
   Table 1, the 12-bidder single-mode market whose UCE run refines, and the
   first ascending and descending markets of the `wide-coarse` and
@@ -200,6 +204,9 @@ def auction_runs(pkg, workloads):
         yield label, instance, ENGINES
     for label, instance in biased_multi_unit_markets(pkg.model):
         yield label, instance, ENGINES
+    for n, K in ((12, 200), (30, 600)):
+        instance = pkg.generate.generate_multi_unit(seed=3, n=n, K=K, epsilon=Fraction(1, 100))
+        yield "mu-seed3-n%d-K%d" % (n, K), instance, ENGINES
 
 
 def capped_runs(pkg, workloads):
