@@ -1,8 +1,9 @@
-"""Iterative auction engines and outcome computation.
+"""Iterative auction engines.
 
 Three engines share the instance format: the envelope-price engine (single
 price path, computes VCG payments), a uniform-price benchmark (no payments),
-and a parallel benchmark running one uniform-price auction per economy.
+and a parallel benchmark running one uniform-price auction per economy.  The
+envelope-price engine's terminal phase is in `terminal`.
 
 Every engine computes on the epsilon-lattice.  Values, delta and p_init are
 whole multiples of epsilon (Instance.validate), clock prices move by epsilon
@@ -13,34 +14,45 @@ only for its outcome and its records.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .demand import (
     BALANCED,
     OVER_DEMAND,
     UNDER_DEMAND,
-    best_value_by_size,
     demand_at_linear_price,
     demand_set,
     diagnose,
+    best_value_by_size,
     economy_kappa_sums,
+    line_maxima,
     maximizer_face,
+    rising_marginals,
 )
 from .model import (
     Instance,
+    MultiUnitValuation,
     NotUniversal,
     economy_members,
     lattice_formatter,
+    visible_economies,
 )
 from .pricing import (
     EnvelopePriceState,
     apply_over_demand_update,
     apply_under_demand_update,
     dual_objective,
-    envelope_price_by_size,
     initial_state,
     offset_step_total,
+)
+from .records import field, record
+from .terminal import (  # noqa: F401  NoFeasibleSelection is auction's too
+    NoFeasibleSelection,
+    final_allocation,
+    marginal_pool,
+    refine_state,
+    terminal_tables,
+    vcg_payments,
 )
 
 
@@ -62,12 +74,7 @@ class OffLattice(RuntimeError):
     failure; the engines never round to the lattice."""
 
 
-class NoFeasibleSelection(RuntimeError):
-    """No combination of demanded bundles fits the supply; balance was
-    violated upstream."""
-
-
-@dataclass
+@record
 class AuctionOutcome:
     allocation: dict  # agent -> Bundle
     payments: dict | None
@@ -78,7 +85,7 @@ class AuctionOutcome:
     details: dict = field(default_factory=dict)
 
 
-@dataclass
+@record
 class AuctionTrace:
     records: list = field(default_factory=list)
     outcome: AuctionOutcome | None = None
@@ -110,19 +117,21 @@ def value_tables(instance: Instance) -> dict:
     return tables
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lattice:
     """One run's numbers in epsilon units.
 
-    unit is epsilon; delta and p_init are ints; values holds value_tables and
-    faces each agent's maximizer_face, both fixed for the run.  fmt writes
-    k units as format_rational(k * unit) would, memoized.
+    unit is epsilon; delta and p_init are ints; values holds value_tables,
+    rising each table's rising_marginals and faces each agent's
+    maximizer_face, all fixed for the run.  fmt writes k units as
+    format_rational(k * unit) would, memoized.
     """
 
     unit: Fraction
     delta: int
     p_init: int
     values: dict
+    rising: dict
     faces: dict
     fmt: object
 
@@ -137,6 +146,7 @@ def lattice(instance: Instance) -> Lattice:
         delta=_steps(instance.delta, unit, "delta"),
         p_init=_steps(instance.p_init, unit, "p_init"),
         values=values,
+        rising={i: rising_marginals(table) for i, table in values.items()},
         faces={
             i: maximizer_face(instance.valuation(i), instance.delta)
             for i in range(1, instance.n + 1)
@@ -184,6 +194,77 @@ def _report_row(reports, fmt):
     }
 
 
+# Longest run of rounds that one round of demand queries may stand for, in
+# every engine; None leaves runs unbounded, and 1 queries every round, which
+# is the epsilon-stepped reference the event-driven engines must equal.
+_MAX_JUMP = None
+
+
+def _run_length(pool, p, diag):
+    """Rounds a price takes from p, stepping one epsilon unit in the
+    direction of diag, before it reaches the next value of the ascending
+    pool (or 0, descending); None when it ascends above every value.  Every
+    price it passes lies strictly between two neighbouring values, as p
+    does.  A price on a value is a run of one."""
+    at = bisect_left(pool, p)
+    if at < len(pool) and pool[at] == p:
+        return 1
+    if diag == OVER_DEMAND:
+        return pool[at] - p if at < len(pool) else None
+    return p - (max(pool[at - 1], 0) if at else 0)
+
+
+def _envelope_run(state, targets, step, kappa, lat, breaks, limit):
+    """(length, slopes): how many rounds, at most limit, one round's reports
+    stand for when every round applies the same update, and each agent's
+    change of max utility per round over them (None for a run of one).
+
+    Each round moves every target's price by step and each offset (i, l) by
+    step * kappa[i] * (m - [l is a target]), for m targets.  Until a moving
+    price reaches a marginal of an agent that sees its line (breaks[j] holds
+    those marginals, see _run_length), every line's demanded interval stays
+    put and every line maximum changes by a fixed amount per round.  Until a
+    line maximum below an agent's optimum catches up with it, the optimal
+    lines stay the same, and with them the reports, the diagnoses and the
+    targets.  Optimal lines whose maxima change at different rates part at
+    once, a run of one.
+    """
+    n, p, alpha = state.n, state.p, state.alpha
+    moving = set(targets)
+    m = len(moving)
+    kind = OVER_DEMAND if step > 0 else UNDER_DEMAND
+    length = limit
+    for j in moving:
+        bound = _run_length(breaks[j], p[j], kind)
+        if bound is not None:
+            length = min(length, bound)
+    slopes = {}
+    for i in range(1, n + 1):
+        if length == 1:
+            return 1, None
+        visible = visible_economies(i, n)
+        maxima = line_maxima(
+            [(p[ell], alpha[(i, ell)]) for ell in visible], lat.values[i], lat.rising[i]
+        )
+        shift = step * kappa[i]
+        still = -m * shift
+        lines = [
+            (u, still + shift - low * step if ell in moving else still)
+            for ell, (low, u) in zip(visible, maxima)
+        ]
+        best = max(u for u, _ in lines)
+        rates = {slope for u, slope in lines if u == best}
+        if len(rates) > 1:
+            return 1, None
+        rate = rates.pop()
+        for u, slope in lines:
+            if slope > rate:
+                # The first round at which this line's maximum reaches best.
+                length = min(length, -((u - best) // (slope - rate)))
+        slopes[i] = rate
+    return (length, slopes) if length > 1 else (1, None)
+
+
 def run_uce_auction(instance: Instance, round_cap: int | None = None):
     """Run the envelope-price auction; returns (AuctionOutcome, AuctionTrace).
 
@@ -195,15 +276,32 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
     (or, if none, all under-demanded ones).  Either way a round is one price
     step, applied by one update call that composes the economies' offset
     increments in a single pass.  The run computes in epsilon units.
+
+    The engine is event-driven: after a round's queries it computes how many
+    rounds keep the same reports, diagnoses and targets (_envelope_run), and
+    applies that many steps with one update call.  Prices, offsets, max
+    utilities and the dual objective are affine over such a run, so its
+    records are written from their affine forms.  Rounds, queries,
+    cleared_round, every record and the contiguity monitor's warnings read
+    exactly as if it queried every round: a round where a multi-unit report
+    has a gap in its sizes is a run of one.
     """
-    n = instance.n
+    n, K = instance.n, instance.K
     lat = lattice(instance)
-    values, faces, unit, fmt = lat.values, lat.faces, lat.unit, lat.fmt
+    values, faces, rising, unit, fmt = lat.values, lat.faces, lat.rising, lat.unit, lat.fmt
     cap = round_cap if round_cap is not None else default_round_cap(instance, lat)
     state = initial_state(n, lat.p_init, lat.delta)
     # The record's offset keys, in order, and their labels.
     offset_keys = sorted(state.alpha)
     offset_labels = ["%d,%d" % key for key in offset_keys]
+    # The distinct adjusted marginals of the agents that see each economy's
+    # line, ascending: the prices at which a moving line's intervals change.
+    breaks = [
+        sorted({m for i in economy_members(j, n) for m in rising[i]}) for j in range(0, n + 1)
+    ]
+    multi_unit = [
+        i for i in range(1, n + 1) if isinstance(instance.valuation(i), MultiUnitValuation)
+    ]
     # sum(state.alpha.values()), kept step by step in O(n) per round.
     alpha_sum = 0
     trace = AuctionTrace()
@@ -215,12 +313,12 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
     while rounds < cap:
         rounds += 1
         reports = {
-            i: demand_set(instance.valuation(i), state, i, values[i], faces[i], unit)
+            i: demand_set(instance.valuation(i), state, i, values[i], faces[i], unit, rising[i])
             for i in range(1, n + 1)
         }
         queries += n
         sums = economy_kappa_sums(reports)
-        diagnosis = {j: diagnose(low, high, instance.K) for j, (low, high) in sums.items()}
+        diagnosis = {j: diagnose(low, high, K) for j, (low, high) in sums.items()}
         for j in range(0, n + 1):
             if settled(diagnosis[j], state.p[j]):
                 if j not in settled_now:
@@ -229,23 +327,24 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
             else:
                 settled_now.discard(j)
 
+        # The objective of the normalized state.  Normalizing agent i shifts
+        # its offsets down by min_j alpha[(i, j)] and its utility up by as
+        # much, so it is the raw sum with pi at the raw max utility,
+        # unclamped; after normalization the zero bundle costs 0, so that pi
+        # is feasible.
+        utilities = [r.max_utility for r in reports.values()]
+        objective = dual_objective(K, utilities, state.p, (alpha_sum,))
+        row = _report_row(reports, fmt)
         record = {
             "round": rounds,
             "p": [fmt(q) for q in state.p],
             "alpha": {
                 label: fmt(state.alpha[key]) for label, key in zip(offset_labels, offset_keys)
             },
-            "reports": _report_row(reports, fmt),
+            "reports": row,
             "kappa_sums": sums,
             "diagnosis": diagnosis,
-            # The objective of the normalized state.  Normalizing agent i
-            # shifts its offsets down by min_j alpha[(i, j)] and its utility
-            # up by as much, so it is the raw sum with pi at the raw max
-            # utility, unclamped; after normalization the zero bundle costs
-            # 0, so that pi is feasible.
-            "dual_objective": fmt(dual_objective(
-                instance.K, [r.max_utility for r in reports.values()], state.p, (alpha_sum,)
-            )),
+            "dual_objective": fmt(objective),
             "updates": [],
         }
         trace.records.append(record)
@@ -261,7 +360,7 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
                 witness = {
                     j: {key: fmt(q) for key, q in w.items()} for j, w in witness.items()
                 }
-                refined = _refine_state(instance, state, values, reports)
+                refined = refine_state(instance, state, values, reports)
                 if refined is None:
                     raise NotUniversal(
                         "final prices fail CE certification and no"
@@ -273,7 +372,7 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
                 for j in range(0, n + 1):
                     record["updates"].append({"economy": j, "direction": "refine"})
                 continue
-            allocation = final_allocation(reports, instance.K, values)
+            allocation = final_allocation(reports, K, values)
             payments = vcg_payments(tables, allocation)
             outcome = AuctionOutcome(
                 allocation=allocation,
@@ -300,230 +399,59 @@ def run_uce_auction(instance: Instance, round_cap: int | None = None):
         # One epsilon step is one unit.
         if kind == OVER_DEMAND:
             kappa = {i: reports[i].kappa_min for i in range(1, n + 1)}
-            state = apply_over_demand_update(state, targets, kappa, 1)
             step = 1
         else:
             kappa = {i: reports[i].kappa_max for i in range(1, n + 1)}
-            state = apply_under_demand_update(state, targets, kappa, 1)
             step = -1
-        alpha_sum += offset_step_total(n, targets, kappa, step)
-        record["updates"].extend({"economy": j, "direction": kind} for j in targets)
+        updates = [{"economy": j, "direction": kind} for j in targets]
+        record["updates"] = updates
+        offsets_step = offset_step_total(n, targets, kappa, step)
+
+        length = cap - rounds + 1
+        if _MAX_JUMP is not None:
+            length = min(length, _MAX_JUMP)
+        # A multi-unit report with a gap in its sizes is a run of one, so the
+        # contiguity monitor logs every such query, as when stepping.
+        if length > 1 and not any(
+            reports[i].kappa_max - reports[i].kappa_min >= len(reports[i].maximizers)
+            for i in multi_unit
+        ):
+            length, slopes = _envelope_run(state, targets, step, kappa, lat, breaks, length)
+        else:
+            length = 1
+        if length > 1:
+            # The run's later records, from the affine forms of its numbers.
+            moving = set(targets)
+            dp = [step if j in moving else 0 for j in range(0, n + 1)]
+            alpha0 = [state.alpha[key] for key in offset_keys]
+            dalpha = [step * kappa[i] * (len(moving) - (j in moving)) for i, j in offset_keys]
+            rate = dual_objective(K, slopes.values(), dp, (offsets_step,))
+            for r in range(1, length):
+                trace.records.append({
+                    "round": rounds + r,
+                    "p": [fmt(q + r * dq) for q, dq in zip(state.p, dp)],
+                    "alpha": {
+                        label: fmt(a + r * da)
+                        for label, a, da in zip(offset_labels, alpha0, dalpha)
+                    },
+                    "reports": {
+                        i: dict(entry, max_utility=fmt(reports[i].max_utility + r * slopes[i]))
+                        for i, entry in row.items()
+                    },
+                    "kappa_sums": sums,
+                    "diagnosis": diagnosis,
+                    "dual_objective": fmt(objective + r * rate),
+                    "updates": updates,
+                })
+        if kind == OVER_DEMAND:
+            state = apply_over_demand_update(state, targets, kappa, length)
+        else:
+            state = apply_under_demand_update(state, targets, kappa, length)
+        alpha_sum += length * offsets_step
+        rounds += length - 1
+        queries += (length - 1) * n
 
     raise RoundLimitExceeded("no termination within %d rounds" % cap, trace)
-
-
-def marginal_pool(tables, members) -> list:
-    """The members' adjusted marginals t[s] - t[s-1], repeats kept, sorted
-    ascending; tables maps each agent to a table over sizes 0..capacity.
-
-    Every table the engines build is concave in the size: best adjusted
-    values are prefix sums of non-increasing marginals (multi-unit) or linear
-    (product-mix), and envelope prices are a minimum of lines.  So an agent
-    facing unit price p demands exactly its sizes up to its count of
-    marginals above p, and at its discretion those equal to p, and the best
-    "at most K units" total of an economy takes its K largest positive
-    marginals: every such question is a count or a slice of this list.
-    """
-    return sorted([b - a for i in members for a, b in zip(tables[i], tables[i][1:])])
-
-
-def _economy_optimum(tables, members, K):
-    """Max of sum_i tables[i][s_i] over the members' sizes with sum s_i <= K:
-    the size-0 entries plus the K largest positive marginals."""
-    pool = marginal_pool(tables, members)
-    start = max(len(pool) - K, bisect_right(pool, 0))
-    return sum(tables[i][0] for i in members) + sum(pool[start:])
-
-
-def _uniform_clearing_price(instance, economy, values):
-    """Market-clearing uniform unit price of one economy, in adjusted terms.
-
-    Prices the supply at the (K+1)-th highest of the members' marginal
-    values, clamped at zero.  At that price at most K units are strictly
-    profitable and at least K are weakly profitable, so demand brackets the
-    supply; below the clamp the price floor binds instead.
-    """
-    pool = marginal_pool(values, economy_members(economy, instance.n))
-    if len(pool) <= instance.K:
-        return 0
-    return max(pool[-instance.K - 1], 0)
-
-
-def _refine_state(instance, state, values, reports):
-    """Exact repair step for a state every balance test accepts but that
-    supports no competitive equilibrium in some economy.
-
-    Envelope prices are concave in the bundle, so utilities are convex and
-    demand sets collect extreme points: the demanded sizes need not form a
-    contiguous range, and the interval test between their sums can pass while
-    the supply itself is unreachable.  The epsilon updates have no target
-    left at such a state, so finish the descent in one move, to an optimum of
-    the price program built from per-economy clearing prices.  Take p[j] as a
-    uniform clearing price of economy j and set each offset to
-    u_i(p[j]) - min over visible economies of u_i(p[j']), where u_i is agent
-    i's utility at the uniform price, the max over sizes s of
-    values[i][s] - s*p[j].  Every agent is then indifferent across its price
-    lines, each economy's clearing allocation stays demanded under the
-    envelope, and the objective telescopes to the sum of the per-economy
-    optima, so the state is optimal.  Returns the new state, or None when the
-    current state already achieves that value.
-
-    reports are the demand reports at the current state; both objectives
-    take pi at its minimal feasible level, max(u_i, 0).  At the new state
-    agent i is indifferent across its lines, so its utility there is floor,
-    which is never negative: the empty bundle is worth 0 at any price.
-    """
-    n = instance.n
-    p = [_uniform_clearing_price(instance, j, values) for j in range(0, n + 1)]
-    alpha, floors = {}, []
-    for i in range(1, n + 1):
-        utility = {
-            j: max(value - size * p[j] for size, value in enumerate(values[i]))
-            for j in range(0, n + 1)
-            if j != i
-        }
-        floor = min(utility.values())
-        floors.append(floor)
-        for j, u in utility.items():
-            alpha[(i, j)] = u - floor
-    pi = [max(r.max_utility, 0) for r in reports.values()]
-    current = dual_objective(instance.K, pi, state.p, state.alpha.values())
-    if dual_objective(instance.K, floors, p, alpha.values()) >= current:
-        return None
-    return state.replace(p=tuple(p), alpha=alpha)
-
-
-def final_allocation(reports, K, values):
-    """Select a supported allocation once the main economy balances: one
-    demanded bundle per agent, total size <= K, maximizing total value (ties:
-    larger total size, then earlier agents with larger bundles).
-
-    values are the run's value tables.  Every demanded bundle of one size
-    attains the best adjusted value of that size, values[i][size], so each
-    demanded size stands for its first maximizer, the one with the most
-    strong units.  At supporting prices value splits into constant utility
-    plus price, so this choice is simultaneously efficient and
-    revenue-maximal; greedier unit-removal schemes can land on a demanded
-    but revenue-deficient tuple.
-    """
-    agents = sorted(reports)
-    # best[u] = (value, choices) over the agents processed so far using
-    # exactly u units; kappa_min choices guarantee feasibility at balance.
-    best = {0: (0, ())}
-    for i in agents:
-        first = {}
-        for k in reports[i].maximizers:
-            first.setdefault(k.size, k)
-        options = [(first[size], values[i][size]) for size in sorted(first, reverse=True)]
-        new = {}
-        for used, (value, chosen) in best.items():
-            for k, gain in options:
-                u = used + k.size
-                if u > K:
-                    continue
-                cand = (value + gain, chosen + (k,))
-                if u not in new or cand[0] > new[u][0]:
-                    new[u] = cand
-        best = new
-        if not best:
-            raise NoFeasibleSelection(
-                "no combination of demanded bundles fits in %d units" % K
-            )
-    _, _, chosen = max(
-        ((value, used, chosen) for used, (value, chosen) in best.items()),
-        key=lambda t: (t[0], t[1]),
-    )
-    return dict(zip(agents, chosen))
-
-
-@dataclass(frozen=True)
-class TerminalTables:
-    """Exact per-economy optima at one price state, all from size tables.
-
-    prices[i][s] is agent i's adjusted envelope price of a size-s bundle;
-    welfare[j], revenue[j] and utility_sum[j] are economy j's efficient
-    value, revenue optimum and the sum of its members' indirect utilities,
-    all in the units of the state and values they were computed from.
-    """
-
-    prices: dict
-    welfare: list
-    revenue: list
-    utility_sum: list
-
-    def failures(self) -> dict:
-        """Witnesses of the economies these prices do not support.
-
-        Every feasible allocation has welfare = utility + revenue <= the
-        utility sum plus the revenue optimum, with equality exactly when every
-        bundle is demanded and the allocation maximizes revenue.  So economy
-        j is supported iff welfare[j] == utility_sum[j] + revenue[j], for any
-        choice of efficient allocation.
-        """
-        return {
-            j: {
-                "welfare": self.welfare[j],
-                "utility_sum": self.utility_sum[j],
-                "revenue": self.revenue[j],
-            }
-            for j in range(len(self.welfare))
-            if self.welfare[j] != self.utility_sum[j] + self.revenue[j]
-        }
-
-
-def terminal_tables(instance, state, values) -> TerminalTables:
-    """Certification and payment data for every economy at one price state.
-    values are the agents' best value tables in the state's units: the run's
-    value_tables(instance) for a state in epsilon units.  Each economy's
-    welfare and revenue optimum is read off the sorted marginals of its
-    members' value and price tables (marginal_pool).
-    """
-    n, K = instance.n, instance.K
-    prices, utility = {}, {}
-    for i in range(1, n + 1):
-        prices[i] = envelope_price_by_size(state, i, len(values[i]) - 1)
-        utility[i] = max(v - p for v, p in zip(values[i], prices[i]))
-    total = sum(utility.values())
-    economies = [economy_members(j, n) for j in range(0, n + 1)]
-    return TerminalTables(
-        prices=prices,
-        welfare=[_economy_optimum(values, members, K) for members in economies],
-        revenue=[_economy_optimum(prices, members, K) for members in economies],
-        utility_sum=[total] + [total - utility[i] for i in range(1, n + 1)],
-    )
-
-
-def vcg_payments(tables: TerminalTables, allocation):
-    """VCG payments from certified prices: for each agent, the revenue optimum
-    of its marginal economy minus the revenue the others generate under the
-    final allocation."""
-    revenue = {i: tables.prices[i][allocation[i].size] for i in tables.prices}
-    total = sum(revenue.values())
-    return {i: tables.revenue[i] - (total - revenue[i]) for i in tables.prices}
-
-
-# Longest run of rounds that one evaluation of the kappa sums may stand for
-# in a uniform-price clock; None leaves runs unbounded, and 1 evaluates every
-# round, which is the epsilon-stepped reference the event-driven clock must
-# equal.
-_MAX_JUMP = None
-
-
-def _run_length(pool, p, diag):
-    """Rounds the clock takes from p, stepping one epsilon unit in the
-    direction of diag, before it reaches the next marginal of the pool (or
-    0, descending).  Every price it passes lies strictly between two
-    neighbouring marginals, as p does, so all of them give p's kappa sums.
-    A price on a marginal is a run of one."""
-    at = bisect_left(pool, p)
-    if at < len(pool) and pool[at] == p:
-        return 1
-    if diag == OVER_DEMAND:
-        # Above every marginal nothing is demanded, so one lies above p.
-        target = pool[at]
-    else:
-        target = max(pool[at - 1], 0) if at else 0
-    return abs(target - p)
 
 
 def _clock_row(round_, p, low, high, diag):
@@ -566,7 +494,8 @@ def _run_linear(instance, members, round_cap, lat):
             rows.append(_clock_row(rounds, fmt(p), low, high, diag))
             reports = {
                 i: demand_at_linear_price(
-                    instance.valuation(i), i, p, lat.delta, values[i], faces[i], lat.unit
+                    instance.valuation(i), i, p, lat.delta, values[i], faces[i], lat.unit,
+                    lat.rising[i],
                 )
                 for i in members
             }
@@ -578,6 +507,8 @@ def _run_linear(instance, members, round_cap, lat):
                 "queries": queries,
                 "rows": rows,
             }
+        # Over-demand means some member buys a unit at p, so some marginal
+        # lies above p and the run is bounded.
         length = min(_run_length(pool, p, diag), round_cap - rounds)
         if _MAX_JUMP is not None:
             length = min(length, _MAX_JUMP)

@@ -7,19 +7,15 @@ failure or round cap reached.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import functools
-import itertools
 import json
 import os
 import random
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import auction, generate, lp, oracle, subgradient
-from .demand import UNDER_DEMAND, demand_set
+from .demand import demand_set
 from .model import (
     Instance,
     InstanceValidationError,
@@ -30,7 +26,14 @@ from .model import (
     load_instance,
     parse_rational,
 )
-from .pricing import EnvelopePriceState
+from .traces import (
+    state_from_record,
+    write_csv,
+    write_json,
+    write_text,
+    write_trace_csv,
+    write_trace_json,
+)
 
 # The interpreter's builtin SHA-256; hashlib would load OpenSSL's libcrypto
 # for one digest per run.
@@ -59,79 +62,6 @@ def instance_digest(inst: Instance) -> str:
     return sha256(canonical).hexdigest()[:16]
 
 
-@contextlib.contextmanager
-def _atomic_open(path: str):
-    """A text file that replaces `path` only once it is completely written
-    (temp file + rename in the target directory)."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_text(path: str, text: str) -> None:
-    with _atomic_open(path) as fh:
-        fh.write(text)
-
-
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, int) and not isinstance(key, bool):
-        return int.__repr__(key)
-    raise TypeError("JSON object keys must be str or int, not %s" % type(key).__name__)
-
-
-def _json_text(o, indent: str) -> str:
-    """The text json.dumps(o, indent=2, default=str) gives o when o starts
-    on a line indented by `indent`.  It covers dicts with str or int keys,
-    lists, tuples, str, int, float, bool and None; any other value is
-    written as the string str() gives it."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):  # NaN and the infinities as json writes them
-        return json.dumps(o)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = indent + "  "
-        body = ",\n".join([inner + _json_text(v, inner) for v in o])
-        return "[\n" + body + "\n" + indent + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = indent + "  "
-        body = ",\n".join([
-            inner + _quote(_json_key(k)) + ": " + _json_text(v, inner) for k, v in o.items()
-        ])
-        return "{\n" + body + "\n" + indent + "}"
-    return _quote(str(o))
-
-
-def _write_json(path: str, doc) -> None:
-    """Write doc as json.dump(doc, fh, indent=2, default=str) does."""
-    with _atomic_open(path) as fh:
-        fh.write(_json_text(doc, ""))
-        fh.write("\n")
-
-
 def _out_path(args, name: str) -> str:
     out_dir = args.out_dir
     if out_dir is None:  # read when the command runs: the parser is built once
@@ -157,237 +87,6 @@ def _format_payments(payments, n: int) -> str:
     return " ".join(
         "%d:%s" % (i, format_rational(payments[i])) for i in range(1, n + 1)
     )
-
-
-TRACE_CSV_HEADER = (
-    "round", "economy", "p", "sum_kappa_min", "sum_kappa_max", "diagnosis", "action",
-)
-
-
-def _write_csv(path: str, header, rows) -> None:
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _uce_csv_rows(trace):
-    for record in trace.records:
-        updated = {u["economy"]: u["direction"] for u in record["updates"]}
-        for j, (low, high) in record["kappa_sums"].items():
-            yield (record["round"], j, record["p"][j], low, high, record["diagnosis"][j],
-                   updated.get(j, ""))
-
-
-def _clock_csv_row(round_, economy, row):
-    """A uniform-price clock's row; its step after the round is its
-    diagnosis, unless the clock settled there.  Only an under-demanded
-    clock's step depends on its price, so only its price is read back."""
-    diag = row["diagnosis"]
-    price = parse_rational(row["p"]) if diag == UNDER_DEMAND else None
-    action = "" if auction.settled(diag, price) else diag
-    return (round_, economy, row["p"], row["sum_kappa_min"], row["sum_kappa_max"], diag, action)
-
-
-def _linear_csv_rows(trace):
-    for row in trace.records:
-        yield _clock_csv_row(row["round"], row["economy"], row)
-
-
-def _parallel_csv_rows(trace):
-    for record in trace.records:
-        for j in sorted(record["economies"]):
-            yield _clock_csv_row(record["round"], j, record["economies"][j])
-
-
-TRACE_CSV_ROWS = {"uce": _uce_csv_rows, "linear": _linear_csv_rows, "parallel": _parallel_csv_rows}
-
-
-def _write_trace_csv(path: str, engine: str, trace) -> None:
-    """One row per (round, economy); a trace the round cap stopped, which has
-    no outcome, ends with the round-cap marker row."""
-    rows = TRACE_CSV_ROWS[engine](trace)
-    if trace.outcome is None:
-        marker = (len(trace.records), "", "", "", "", "", "round_cap")
-        rows = itertools.chain(rows, [marker])
-    _write_csv(path, TRACE_CSV_HEADER, rows)
-
-
-# --trace-json records.  Each engine's records have one shape, and its
-# renderer fills one template with the record's fields, laid out as
-# json.dumps(doc, indent=2, default=str) lays out an item of doc["records"]:
-# the record's braces on lines indented by four spaces, its fields by six.
-# tests/test_cli.py compares whole trace files with json.dumps on every
-# record variant, so a field a template does not know fails there.
-
-
-def _block(brackets: str, entries, indent: str) -> str:
-    """A JSON list ("[]") or object ("{}") of entries already written as
-    JSON (`"key": value` for an object), its brackets on lines indented by
-    `indent` and its entries two spaces further in."""
-    inner = "\n" + indent + "  "
-    body = ("," + inner).join(entries)
-    return brackets[0] + inner + body + "\n" + indent + brackets[1] if body else brackets
-
-
-_UCE_RECORD = """{
-      "round": %d,
-      "p": %s,
-      "alpha": %s,
-      "reports": %s,
-      "kappa_sums": %s,
-      "diagnosis": %s,
-      "dual_objective": %s,
-      "updates": %s%s
-    }"""
-_UCE_REPORT = """"%d": {
-          "kappa_min": %d,
-          "kappa_max": %d,
-          "max_utility": %s,
-          "maximizer_extremes": [
-            [
-              %d,
-              %d
-            ],
-            [
-              %d,
-              %d
-            ]
-          ]
-        }"""
-_UCE_KAPPA_SUMS = """"%d": [
-          %d,
-          %d
-        ]"""
-_UCE_UPDATE = """{
-          "economy": %d,
-          "direction": %s
-        }"""
-_FIELD = " " * 6  # a record field's line; its value's brackets close there
-
-
-def _uce_json_record(record) -> str:
-    alpha = record["alpha"]
-    diagnosis = record["diagnosis"]
-    reports = []
-    for i, r in record["reports"].items():
-        # A report's extremes are its first and last maximizer, two (weak,
-        # strong) bundles.
-        first, last = r["maximizer_extremes"]
-        reports.append(_UCE_REPORT % (
-            i, r["kappa_min"], r["kappa_max"], _quote(r["max_utility"]), *first, *last,
-        ))
-    witness = record.get("witness")
-    return _UCE_RECORD % (
-        record["round"],
-        _block("[]", map(_quote, record["p"]), _FIELD),
-        _block("{}", map("%s: %s".__mod__, zip(map(_quote, alpha), map(_quote, alpha.values()))),
-               _FIELD),
-        _block("{}", reports, _FIELD),
-        _block("{}", [_UCE_KAPPA_SUMS % (j, low, high)
-                      for j, (low, high) in record["kappa_sums"].items()], _FIELD),
-        _block("{}", map('"%d": %s'.__mod__, zip(diagnosis, map(_quote, diagnosis.values()))),
-               _FIELD),
-        _quote(record["dual_objective"]),
-        _block("[]", [_UCE_UPDATE % (u["economy"], _quote(u["direction"]))
-                      for u in record["updates"]], _FIELD),
-        "" if witness is None else ',\n%s"witness": %s' % (_FIELD, _json_text(witness, _FIELD)),
-    )
-
-
-_LINEAR_RECORD = """{
-      "round": %d,
-      "p": %s,
-      "sum_kappa_min": %d,
-      "sum_kappa_max": %d,
-      "diagnosis": %s,
-      "economy": %d
-    }"""
-
-
-def _linear_json_record(row) -> str:
-    return _LINEAR_RECORD % (
-        row["round"], _quote(row["p"]), row["sum_kappa_min"], row["sum_kappa_max"],
-        _quote(row["diagnosis"]), row["economy"],
-    )
-
-
-_PARALLEL_RECORD = """{
-      "round": %d,
-      "economies": %s
-    }"""
-_PARALLEL_ROW = """"%d": {
-          "round": %d,
-          "p": %s,
-          "sum_kappa_min": %d,
-          "sum_kappa_max": %d,
-          "diagnosis": %s
-        }"""
-
-
-def _parallel_json_record(record) -> str:
-    rows = [
-        _PARALLEL_ROW % (
-            j, row["round"], _quote(row["p"]), row["sum_kappa_min"], row["sum_kappa_max"],
-            _quote(row["diagnosis"]),
-        )
-        for j, row in record["economies"].items()
-    ]
-    return _PARALLEL_RECORD % (record["round"], _block("{}", rows, _FIELD))
-
-
-TRACE_JSON_RECORDS = {
-    "uce": _uce_json_record, "linear": _linear_json_record, "parallel": _parallel_json_record,
-}
-
-
-def _write_trace_json(path: str, engine: str, digest: str, trace, n: int) -> None:
-    """The trace document as json.dump(doc, fh, indent=2, default=str) writes
-    it, record by record, so a long trace's text is never held whole."""
-    render = TRACE_JSON_RECORDS[engine]
-    with _atomic_open(path) as fh:
-        fh.write('{\n  "instance_digest": %s,\n  "engine": %s,\n  "records": '
-                 % (_quote(digest), _quote(engine)))
-        separator = "[\n    "
-        for record in trace.records:
-            fh.write(separator + render(record))
-            separator = ",\n    "
-        fh.write("\n  ]" if trace.records else "[]")
-        if trace.outcome is None:
-            fh.write(',\n  "outcome": null,\n  "round_cap_reached": true\n}\n')
-        else:
-            fh.write(',\n  "outcome": %s\n}\n'
-                     % _json_text(_outcome_to_dict(trace.outcome, n), "  "))
-
-
-def _outcome_to_dict(outcome, n: int) -> dict:
-    doc = {
-        "allocation": {
-            str(i): list(outcome.allocation.get(i, ZERO_BUNDLE)) for i in range(1, n + 1)
-        },
-        "rounds": outcome.rounds,
-        "queries": outcome.queries,
-        "cleared_round": {str(j): r for j, r in sorted(outcome.cleared_round.items())},
-        "details": outcome.details,
-    }
-    if outcome.payments is not None:
-        doc["payments"] = {
-            str(i): format_rational(outcome.payments[i]) for i in range(1, n + 1)
-        }
-    if outcome.final_state is not None:
-        from .pricing import state_to_dict
-
-        doc["final_state"] = state_to_dict(outcome.final_state)
-    return doc
-
-
-def _state_from_record(record: dict, n: int, delta: Fraction) -> EnvelopePriceState:
-    p = tuple(parse_rational(x) for x in record["p"])
-    alpha = {}
-    for key, val in record["alpha"].items():
-        i, j = key.split(",")
-        alpha[(int(i), int(j))] = parse_rational(val)
-    return EnvelopePriceState(n=n, p=p, alpha=alpha, delta=delta)
 
 
 def _run_engine(inst, engine, args):
@@ -419,9 +118,9 @@ def cmd_run(args) -> int:
             header = ["iteration", "objective", "best_objective", "max_subgradient"]
             if args.lp_optimum is not None:
                 header.append("gap")
-            _write_csv(args.trace_csv, header, ([entry[h] for h in header] for entry in run.log))
+            write_csv(args.trace_csv, header, ([entry[h] for h in header] for entry in run.log))
         if args.trace_json:
-            _write_json(args.trace_json, {"instance_digest": digest, "log": run.log})
+            write_json(args.trace_json, {"instance_digest": digest, "log": run.log})
         return EXIT_OK
 
     if args.compare:
@@ -456,9 +155,9 @@ def _write_traces(args, digest: str, n: int, trace) -> None:
     """Write --trace-csv and --trace-json.  A trace without an outcome is one
     the round cap stopped; both files then end with a round-cap marker."""
     if args.trace_csv:
-        _write_trace_csv(args.trace_csv, args.engine, trace)
+        write_trace_csv(args.trace_csv, args.engine, trace)
     if args.trace_json:
-        _write_trace_json(args.trace_json, args.engine, digest, trace, n)
+        write_trace_json(args.trace_json, args.engine, digest, trace, n)
 
 
 def _cmd_compare(inst, digest, args) -> int:
@@ -483,7 +182,7 @@ def _cmd_compare(inst, digest, args) -> int:
 
 def _dump_counterexample(args, payload: dict) -> str:
     path = _out_path(args, "counterexample-%d.json" % payload["index"])
-    _write_json(path, payload)
+    write_json(path, payload)
     return path
 
 
@@ -587,7 +286,7 @@ def cmd_gen(args) -> int:
     else:
         inst = generate.generate_product_mix(**market)
     doc = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
-    _write_text(args.output, doc)
+    write_text(args.output, doc)
     print("wrote %s (digest %s)" % (args.output, instance_digest(inst)))
     return EXIT_OK
 
@@ -615,7 +314,7 @@ def _build_program(inst, args):
             "argument --at-round: must be at most %d, the number of rounds, got %d"
             % (rounds, at_round)
         )
-    state = _state_from_record(trace.records[at_round - 1], inst.n, inst.delta)
+    state = state_from_record(trace.records[at_round - 1], inst.n, inst.delta)
     reports = {i: demand_set(inst.valuation(i), state, i) for i in range(1, inst.n + 1)}
     return [lp.build_restricted_dual(inst, state, reports)]
 
@@ -635,7 +334,7 @@ def cmd_lp(args) -> int:
             else [args.emit_lp, args.emit_lp + ".dual"]
         )
         for program, path in zip(programs, paths):
-            _write_text(path, lp.emit_lp_text(program))
+            write_text(path, lp.emit_lp_text(program))
             print("wrote %s (%s)" % (path, program.name))
     if args.solve:
         # For the general pair only the (cheaper) primal is solved; its

@@ -2,23 +2,29 @@
 
 Every price the engines quote is a per-size price plus delta per strong unit,
 so in bias-adjusted terms an agent's utility for a bundle k is its adjusted
-value minus a price that depends on |k| alone.  Demand is therefore fixed by
-two tables over sizes 0..capacity: the best adjusted value of each size (in
-closed form per valuation family) and the per-size price.  The demanded sizes
-are those where their difference peaks, and the maximizers are the bundles of
-those sizes that attain the best value.  Ties are resolved by exact rational
-equality only; there is no tolerance parameter anywhere.  Every function
-computes in the exact numbers it is given: Fractions in real units, or the
-engines' integer multiples of epsilon.
+value minus a price that depends on |k| alone.  An envelope price is the
+minimum of the agent's affine price lines, offset + size * p, one per economy
+it sees, and its best adjusted value per size (in closed form per valuation
+family) is concave in the size.  So on each line the utility peaks on an
+interval of sizes read off the agent's ascending adjusted marginals with two
+bisections: those strictly above p are bought, those equal to p optional.
+The agent's max utility is the best line maximum, its demanded sizes are the
+union of the optimal lines' intervals, and its maximizers are the bundles of
+those sizes that attain the best value.  A linear price is the single line
+(p, 0).  Ties are resolved by exact rational equality only; there is no
+tolerance parameter anywhere.  Every function computes in the exact numbers
+it is given: Fractions in real units, or the engines' integer multiples of
+epsilon.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .model import Bundle, MultiUnitValuation, Valuation
-from .pricing import EnvelopePriceState, envelope_price_by_size, line_by_size
+from .model import Bundle, MultiUnitValuation, Valuation, visible_economies
+from .pricing import EnvelopePriceState, envelope_price_by_size
+from .records import record
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +42,7 @@ EVERY_SPLIT = "split"
 contiguity_counterexamples = []
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DemandReport:
     agent: int
     max_utility: Fraction
@@ -88,6 +94,19 @@ def _maximizers(face: str, sizes: list) -> tuple:
     return tuple(sorted(Bundle(s - ks, ks) for s in sizes for ks in range(s + 1)))
 
 
+def _report(valuation, agent, best, sizes, face, delta) -> DemandReport:
+    """The report of demanded sizes, ascending, and their best utility."""
+    if face is None:
+        face = maximizer_face(valuation, delta)
+    return DemandReport(
+        agent=agent,
+        max_utility=best,
+        kappa_min=sizes[0],
+        kappa_max=sizes[-1],
+        maximizers=_maximizers(face, sizes),
+    )
+
+
 def _check_contiguity(agent, sizes, valuation, prices, delta, unit):
     if all(b - a <= 1 for a, b in zip(sizes, sizes[1:])):
         return
@@ -113,7 +132,7 @@ def demand_from_size_tables(
     unit: Fraction = 1,
 ) -> DemandReport:
     """Demand report from the best adjusted value and the adjusted price of
-    each size 0..capacity.
+    each size 0..capacity: the size-table reference for demand_set.
 
     delta is the strong-unit bias, which restores the quoted prices the
     contiguity monitor records.  face is the agent's maximizer_face at that
@@ -126,15 +145,45 @@ def demand_from_size_tables(
     sizes = [s for s, u in enumerate(utilities) if u == best]
     if isinstance(valuation, MultiUnitValuation):
         _check_contiguity(agent, sizes, valuation, prices, delta, unit)
-    if face is None:
-        face = maximizer_face(valuation, delta)
-    return DemandReport(
-        agent=agent,
-        max_utility=best,
-        kappa_min=sizes[0],
-        kappa_max=sizes[-1],
-        maximizers=_maximizers(face, sizes),
-    )
+    return _report(valuation, agent, best, sizes, face, delta)
+
+
+def rising_marginals(values: list) -> list:
+    """The adjusted marginals values[s] - values[s-1] of one best-value
+    table, ascending; non-increasing in s, so this is the table's marginals
+    reversed."""
+    return sorted([b - a for a, b in zip(values, values[1:])])
+
+
+def line_maxima(lines, values: list, rising: list) -> list:
+    """(low, maximum) on each price line (p, offset): the utility
+    values[s] - s*p - offset is concave in s and peaks exactly on the sizes
+    from low, the count of the agent's marginals above p, to the count of
+    those at least p."""
+    count = len(rising)
+    maxima = []
+    for p, offset in lines:
+        low = count - bisect_right(rising, p)
+        maxima.append((low, values[low] - low * p - offset))
+    return maxima
+
+
+def line_demand(lines: list, values: list, rising: list) -> tuple:
+    """(max utility, demanded sizes ascending) against the minimum of price
+    lines, given as (unit price, offset) pairs: the best line maximum, and
+    the union of the optimal lines' intervals."""
+    maxima = line_maxima(lines, values, rising)
+    best = max(u for _, u in maxima)
+    count = len(rising)
+    spans = sorted({
+        (low, count - bisect_left(rising, p))
+        for (p, _), (low, u) in zip(lines, maxima)
+        if u == best
+    })
+    sizes = []
+    for low, high in spans:
+        sizes.extend(range(max(low, sizes[-1] + 1) if sizes else low, high + 1))
+    return best, sizes
 
 
 def demand_set(
@@ -144,17 +193,29 @@ def demand_set(
     values: list | None = None,
     face: str | None = None,
     unit: Fraction = 1,
+    rising: list | None = None,
 ) -> DemandReport:
     """Demand report of one agent against the current envelope prices.
 
-    values is the agent's best_value_by_size table at the state's delta and
-    face its maximizer_face, in the state's units; engines build both once
-    per run and pass them in, with the real value of their unit.
+    values is the agent's best_value_by_size table at the state's delta,
+    face its maximizer_face and rising its rising_marginals, in the state's
+    units; engines build all three once per run and pass them in, with the
+    real value of their unit.  The per-size envelope price is built only
+    for the contiguity monitor's record, when a multi-unit agent's demanded
+    sizes have a gap.
     """
     if values is None:
         values = best_value_by_size(valuation, state.delta)
-    prices = envelope_price_by_size(state, agent, valuation.capacity)
-    return demand_from_size_tables(valuation, agent, values, prices, state.delta, face, unit)
+    if rising is None:
+        rising = rising_marginals(values)
+    p, alpha = state.p, state.alpha
+    best, sizes = line_demand(
+        [(p[j], alpha[(agent, j)]) for j in visible_economies(agent, state.n)], values, rising
+    )
+    if isinstance(valuation, MultiUnitValuation) and sizes[-1] - sizes[0] >= len(sizes):
+        prices = envelope_price_by_size(state, agent, valuation.capacity)
+        _check_contiguity(agent, sizes, valuation, prices, state.delta, unit)
+    return _report(valuation, agent, best, sizes, face, state.delta)
 
 
 def demand_at_linear_price(
@@ -165,14 +226,17 @@ def demand_at_linear_price(
     values: list | None = None,
     face: str | None = None,
     unit: Fraction = 1,
+    rising: list | None = None,
 ) -> DemandReport:
     """Demand report at uniform prices: p per weak unit, p + delta per strong
-    unit, which is s * p per size in adjusted terms.  values, face and unit
-    are as for demand_set."""
+    unit, which is the single line (p, 0) in adjusted terms.  values, face,
+    unit and rising are as for demand_set; one line's sizes have no gap."""
     if values is None:
         values = best_value_by_size(valuation, delta)
-    prices = line_by_size(p, 0, valuation.capacity)
-    return demand_from_size_tables(valuation, agent, values, prices, delta, face, unit)
+    if rising is None:
+        rising = rising_marginals(values)
+    best, sizes = line_demand([(p, 0)], values, rising)
+    return _report(valuation, agent, best, sizes, face, delta)
 
 
 def economy_kappa_sums(reports: dict) -> dict:

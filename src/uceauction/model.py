@@ -8,11 +8,12 @@ for their results and records.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator, NamedTuple, Union
+
+from .records import record
 
 MAIN_ECONOMY = 0
 
@@ -89,7 +90,7 @@ class Bundle(NamedTuple):
 ZERO_BUNDLE = Bundle(0, 0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiUnitValuation:
     """Single item type with non-increasing marginal values.
 
@@ -113,7 +114,7 @@ class MultiUnitValuation:
     @cached_property
     def capacity(self) -> int:
         """Largest unit count with strictly positive marginal value.  Cached
-        on first use; not a dataclass field, so == and hash ignore it."""
+        on first use; not a record field, so == and hash ignore it."""
         cap = 0
         for t, m in enumerate(self.marginals):
             if m > 0:
@@ -138,7 +139,7 @@ class MultiUnitValuation:
         return self.capacity + 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProductMixValuation:
     """Constant per-unit values (v_w, v_s) with a total quantity cap gamma.
 
@@ -205,7 +206,7 @@ def visible_economies(i: int, n: int) -> tuple:
     return tuple(j for j in range(0, n + 1) if j != i)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Instance:
     """A complete auction instance: agents, supply, and price-path parameters."""
 

@@ -11,7 +11,6 @@ are references for tests and `verify`; no engine path calls them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,6 +23,7 @@ from .model import (
     economy_members,
 )
 from .pricing import rho, rho_adjusted
+from .records import field, record
 
 ZERO = Fraction(0)
 
@@ -187,7 +187,7 @@ def enumerate_efficient_allocations(instance: Instance, economy: int = 0):
     return results
 
 
-@dataclass
+@record
 class Certification:
     """Per-economy CE verdicts; failures carry witnesses, not exceptions."""
 
@@ -246,14 +246,16 @@ def certify_uce(instance: Instance, price_fn) -> Certification:
     return cert
 
 
-def vcg_from_uce(instance: Instance, price_fn, allocation=None):
+def vcg_from_uce(instance: Instance, price_fn, allocation=None, certification=None):
     """Payments from prices alone: marginal-economy revenue optimum minus the
     revenue others generate under the chosen main allocation.
 
     Independent cross-check of the engine's payment rule; requires prices to
-    certify as UCE first.
+    certify as UCE first.  certification is certify_uce's verdict on the same
+    instance and prices when the caller already holds it; without one the
+    prices are certified here.
     """
-    cert = certify_uce(instance, price_fn)
+    cert = certification if certification is not None else certify_uce(instance, price_fn)
     if not cert.passed:
         raise NotUniversal("prices are not universal CE prices: %s" % cert.failures())
     if allocation is None:

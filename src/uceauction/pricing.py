@@ -13,13 +13,13 @@ units, or the engines' integer multiples of epsilon.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import Bundle, visible_economies
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EnvelopePriceState:
     """Immutable price state: p indexed by economy 0..n, alpha[(i, j)] offsets.
 

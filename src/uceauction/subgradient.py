@@ -14,7 +14,6 @@ the final state are Fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import (
@@ -26,11 +25,12 @@ from .model import (
     visible_economies,
 )
 from .pricing import dual_objective
+from .records import field, record
 
 MAX_TABLE_BUNDLES = 10**5
 
 
-@dataclass
+@record
 class SubgradientState:
     rho: dict  # (agent, Bundle) -> Fraction
     p: list  # economy -> Fraction
@@ -38,7 +38,7 @@ class SubgradientState:
     step: Fraction
 
 
-@dataclass
+@record
 class SubgradientRun:
     log: list = field(default_factory=list)
     best_objective: Fraction | None = None

@@ -8,7 +8,6 @@ enumeration; they are not recomputed from the engine under test.
 import json
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from uceauction import demand, lp, oracle
@@ -23,6 +22,7 @@ from uceauction.generate import (
     random_product_mix_instance,
 )
 from uceauction.model import Bundle, economy_members, parse_rational
+from uceauction.records import replace
 from uceauction.subgradient import run_subgradient
 
 F = Fraction

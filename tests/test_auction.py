@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,7 +15,6 @@ from uceauction.auction import (
     terminal_tables,
     value_tables,
 )
-from uceauction.cli import _state_from_record
 from uceauction.demand import DemandReport, best_value_by_size
 from uceauction.generate import (
     generate_product_mix,
@@ -33,6 +31,8 @@ from uceauction.model import (
 )
 from uceauction.oracle import uce_dual_objective
 from uceauction.pricing import EnvelopePriceState, rho_adjusted
+from uceauction.records import replace
+from uceauction.traces import state_from_record
 
 F = Fraction
 
@@ -75,19 +75,21 @@ def test_single_dual_objective_strictly_descends(table1_single):
 
 
 def test_one_update_call_per_round(table1, table1_single, monkeypatch):
-    """A round is one price step: one update call, covering every economy
-    the round records an update for."""
+    """A round is one price step: stepped, one update call per round,
+    covering every economy the round records an update for.  Event-driven,
+    one call of L steps stands for L such rounds."""
     calls = []
     for name in ("apply_over_demand_update", "apply_under_demand_update"):
         update = getattr(auction, name)
         monkeypatch.setattr(
             auction, name,
-            lambda state, economies, *rest, _update=update: (
-                calls.append(list(economies)) or _update(state, economies, *rest)
+            lambda state, economies, kappa, steps, _update=update: (
+                calls.append((list(economies), steps)) or _update(state, economies, kappa, steps)
             ),
         )
     down = Instance(agents=table1.agents, K=4, p_init=F(9), direction="descending")
-    for inst in (table1, table1_single, down):
+    fine = generate_product_mix(seed=0, n=4, K=12, epsilon=F(1, 100), value_steps_max=150)
+    for inst in (table1, table1_single, down, fine):
         calls.clear()
         _, trace = run_uce_auction(inst)
         stepped = [
@@ -95,10 +97,17 @@ def test_one_update_call_per_round(table1, table1_single, monkeypatch):
             for record in trace.records
             if record["updates"] and record["updates"][0]["direction"] != "refine"
         ]
-        assert calls == stepped
+        assert [economies for economies, steps in calls for _ in range(steps)] == stepped
+        if inst is fine:
+            assert len(calls) < len(stepped) // 5
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(auction, "_MAX_JUMP", 1)
+            run_uce_auction(inst)
+        assert calls == [(economies, 1) for economies in stepped]
         if inst is table1:
             # The worked example's batch rounds update several economies each.
-            assert len(calls) == 4 and sum(map(len, calls)) > len(calls)
+            assert len(calls) == 4 and sum(len(economies) for economies, _ in calls) > len(calls)
 
 
 def test_query_accounting(table1):
@@ -254,7 +263,7 @@ def test_balanced_but_unsupported_state_gets_repaired():
 
 
 def test_uniform_clearing_price_brackets_supply(table1):
-    from uceauction.auction import _uniform_clearing_price
+    from uceauction.terminal import _uniform_clearing_price
     from uceauction.demand import demand_at_linear_price
 
     # Pooled marginals of the full economy: 8,7,6,5,4,3,2,2,1,... so the
@@ -338,7 +347,7 @@ def test_terminal_tables_match_oracle_on_engine_states():
         out, trace = run_uce_auction(inst)
         for record in trace.records:
             if "witness" in record:
-                state = _state_from_record(record, inst.n, inst.delta)
+                state = state_from_record(record, inst.n, inst.delta)
                 expected = _oracle_failures(inst, state)
                 assert expected
                 assert set(terminal_tables(inst, state, values).failures()) == expected
@@ -347,11 +356,12 @@ def test_terminal_tables_match_oracle_on_engine_states():
         state = out.final_state
         price_fn = _price_fn(state)
         tables = terminal_tables(inst, state, values)
-        assert tables.failures() == {} and _oracle_failures(inst, state) == set()
+        certification = oracle.certify_uce(inst, price_fn)
+        assert tables.failures() == {} and certification.passed
         for j in range(0, inst.n + 1):
             assert tables.welfare[j] == oracle.efficient_value(inst, j)[0]
             assert tables.revenue[j] == oracle.revenue_max(inst, j, price_fn)[0]
-        assert out.payments == oracle.vcg_from_uce(inst, price_fn, out.allocation)
+        assert out.payments == oracle.vcg_from_uce(inst, price_fn, out.allocation, certification)
         biased += inst.delta > 0 and inst.epsilon != 1
     assert rejected > 0 and biased >= 10
 
@@ -384,7 +394,7 @@ def test_record_dual_objective_is_the_pricing_dual_objective():
         for inst in markets:
             _, trace = run_uce_auction(inst)
             for record in trace.records:
-                state = _state_from_record(record, inst.n, inst.delta)
+                state = state_from_record(record, inst.n, inst.delta)
                 assert uce_dual_objective(inst, _normalized(state)) == parse_rational(
                     record["dual_objective"]
                 )
@@ -464,7 +474,7 @@ def test_engines_unchanged_under_the_enumeration_reference(monkeypatch):
         assert steps.denominator == 1
         return replace(report, max_utility=steps.numerator)
 
-    def envelope_reference(v, state, i, values, face, unit):
+    def envelope_reference(v, state, i, values, face, unit, rising):
         real = EnvelopePriceState(
             n=state.n,
             p=tuple(q * unit for q in state.p),
@@ -473,7 +483,7 @@ def test_engines_unchanged_under_the_enumeration_reference(monkeypatch):
         )
         return in_units(oracle.demand_set_by_enumeration(v, real, i), unit)
 
-    def linear_reference(v, i, p, delta, values, face, unit):
+    def linear_reference(v, i, p, delta, values, face, unit, rising):
         report = oracle.demand_at_linear_price_by_enumeration(v, i, p * unit, delta * unit)
         return in_units(report, unit)
 
@@ -579,6 +589,83 @@ def test_event_driven_clocks_equal_the_stepped_reference(monkeypatch):
         negative += any(m < 0 for m in marginals)
         long_runs += runs[0][0].rounds > len(marginals) + 2
     assert zero >= 10 and negative >= 10 and long_runs >= 10
+
+
+def _wide_coarse_pool():
+    """The perfbench wide-coarse seed-0 markets, in both update modes."""
+    for seed in (0, 3, 4, 5):
+        for direction in ("ascending", "descending"):
+            for mode in ("batch", "single"):
+                yield generate_product_mix(
+                    seed=seed, n=12, K=12, epsilon=F(1, 10), value_steps_max=14, gamma_max=2,
+                    direction=direction, update_mode=mode,
+                )
+
+
+def _uce_run(inst, caplog, round_cap=None):
+    """A UCE run's (outcome, records), or the records of the round cap's
+    exception, and the demand monitor's warnings."""
+    caplog.clear()
+    before = len(demand.contiguity_counterexamples)
+    try:
+        out, trace = run_uce_auction(inst, round_cap=round_cap)
+        run = (out, trace.records)
+    except RoundLimitExceeded as exc:
+        run = ("round cap", exc.trace.records)
+    del demand.contiguity_counterexamples[before:]
+    return run + (list(caplog.messages),)
+
+
+def test_event_driven_uce_equals_the_stepped_reference(monkeypatch, caplog):
+    """Querying once per run of identical rounds gives the outcome (rounds,
+    queries and cleared rounds included), every trace record and every
+    contiguity warning of the engine that queries each round."""
+    markets = (
+        list(_criterion3_instances())
+        + list(_narrow_fine_pool())
+        + list(_wide_coarse_pool())
+        + list(_biased_multi_unit_markets(60))
+    )
+    steps = []
+    for name in ("apply_over_demand_update", "apply_under_demand_update"):
+        update = getattr(auction, name)
+        monkeypatch.setattr(
+            auction, name,
+            lambda state, economies, kappa, step, _update=update: (
+                steps.append(step) or _update(state, economies, kappa, step)
+            ),
+        )
+    fast, longest = [], []
+    for inst in markets:
+        steps.clear()
+        fast.append(_uce_run(inst, caplog))
+        longest.append(max(steps, default=0))
+    monkeypatch.setattr(auction, "_MAX_JUMP", 1)
+    for inst, run in zip(markets, fast):
+        assert _uce_run(inst, caplog) == run
+    assert sum(length > 10 for length in longest) >= 10
+    assert sum(bool(warnings) for _, _, warnings in fast) >= 5
+
+
+def test_capped_uce_equals_the_stepped_reference(table1, monkeypatch, caplog):
+    """At every round cap up to the uncapped length, the event-driven and
+    the stepped engine stop at the same round with the same records, or
+    finish with the same outcome: Table 1 and a 12-bidder market whose run
+    refines."""
+    refining = generate_product_mix(
+        seed=1, n=12, K=12, epsilon=F(1, 10), value_steps_max=14, gamma_max=3,
+        update_mode="single",
+    )
+    for inst in (table1, refining):
+        uncapped = _uce_run(inst, caplog)
+        caps = range(1, uncapped[0].rounds + 1)
+        fast = [_uce_run(inst, caplog, cap) for cap in caps]
+        with monkeypatch.context() as patch:
+            patch.setattr(auction, "_MAX_JUMP", 1)
+            stepped = [_uce_run(inst, caplog, cap) for cap in caps]
+        assert fast == stepped
+        assert fast[-1] == uncapped and fast[0][0] == "round cap"
+    assert any("witness" in record for record in uncapped[1])
 
 
 def _under_demanded_at_zero():

@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from uceauction import auction, cli, subgradient
+from uceauction import auction, cli, subgradient, traces
 from uceauction.cli import main
 from uceauction.generate import generate_multi_unit, generate_product_mix
 from uceauction.model import (
@@ -24,6 +23,7 @@ from uceauction.model import (
     instance_to_dict,
     load_instance,
 )
+from uceauction.records import replace
 
 
 @pytest.fixture
@@ -160,7 +160,7 @@ def _json_documents(table1, pm_small):
                 "instance_digest": cli.instance_digest(inst),
                 "engine": engine,
                 "records": trace.records,
-                "outcome": cli._outcome_to_dict(out, inst.n),
+                "outcome": traces.outcome_to_dict(out, inst.n),
             })
     with pytest.raises(auction.RoundLimitExceeded) as capped:
         auction.run_uce_auction(table1, round_cap=2)
@@ -184,18 +184,18 @@ def _trace_markets(table1, pm_small):
     one_bidder = Instance(
         agents=(MultiUnitValuation((Fraction(3), Fraction(2), Fraction(1))),), K=2
     )
-    descending = dataclasses.replace(table1, direction="descending", p_init=Fraction(9))
+    descending = replace(table1, direction="descending", p_init=Fraction(9))
     return [table1, pm_small, one_bidder, descending, _refine_market()]
 
 
 def test_trace_json_bytes_equal_json_dump(table1, pm_small, tmp_path):
     """Every JSON file the CLI writes holds the bytes json.dump(indent=2,
     default=str) writes, plus the final newline: documents through
-    _write_json, and each engine's trace, uncapped and capped, through
+    write_json, and each engine's trace, uncapped and capped, through
     _write_traces and its record renderers."""
     path = tmp_path / "doc.json"
     for doc in _json_documents(table1, pm_small):
-        cli._write_json(str(path), doc)
+        traces.write_json(str(path), doc)
         expected = json.dumps(doc, indent=2, default=str) + "\n"
         assert path.read_bytes() == expected.encode("ascii")
     seen = set()
@@ -214,7 +214,7 @@ def test_trace_json_bytes_equal_json_dump(table1, pm_small, tmp_path):
                     doc.update(outcome=None, round_cap_reached=True)
                     seen.add("capped " + engine)
                 else:
-                    doc["outcome"] = cli._outcome_to_dict(trace.outcome, inst.n)
+                    doc["outcome"] = traces.outcome_to_dict(trace.outcome, inst.n)
                 expected = json.dumps(doc, indent=2, default=str) + "\n"
                 assert path.read_bytes() == expected.encode("ascii"), (engine, cap, inst)
                 records = trace.records
@@ -233,7 +233,7 @@ def test_trace_json_bytes_equal_json_dump(table1, pm_small, tmp_path):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2, default=str)
         with pytest.raises(TypeError):
-            cli._write_json(str(path), bad)
+            traces.write_json(str(path), bad)
 
 
 def test_run_subgradient_engine(table1_file, capsys):
@@ -376,15 +376,15 @@ def test_lp_solve_on_the_default_gen_market_exits_2(tmp_path, capsys):
 
 def test_lp_tableau_cap_is_checked_before_solving(table1, table1_file, tmp_path, capsys,
                                                   monkeypatch):
-    from uceauction import lp as lpmod
+    from uceauction import lp as lpmod, simplex
 
     """A program with more variables x constraints than TABLEAU_CAP is
     refused before solving, and only solving: --emit-lp still writes it."""
     program = lpmod.build_uce_dual(table1)
     cells = len(program.variables) * len(program.constraints)
-    monkeypatch.setattr(lpmod, "TABLEAU_CAP", cells)
+    monkeypatch.setattr(simplex, "TABLEAU_CAP", cells)
     assert lpmod.solve(program).status == "optimal"
-    monkeypatch.setattr(lpmod, "TABLEAU_CAP", cells - 1)
+    monkeypatch.setattr(simplex, "TABLEAU_CAP", cells - 1)
     with pytest.raises(lpmod.InstanceTooLarge, match="cap is %d" % (cells - 1)):
         lpmod.solve(program)
     emitted = tmp_path / "dual.lp"

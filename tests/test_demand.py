@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from uceauction import demand, oracle
+from uceauction import auction, demand, oracle
 from uceauction.demand import (
     BALANCED,
     OVER_DEMAND,
@@ -13,8 +13,14 @@ from uceauction.demand import (
     diagnose,
     economy_kappa_sums,
 )
+from uceauction.generate import generate_product_mix
 from uceauction.model import Bundle, MultiUnitValuation, ProductMixValuation
-from uceauction.pricing import EnvelopePriceState, initial_state
+from uceauction.pricing import (
+    EnvelopePriceState,
+    envelope_price_by_size,
+    initial_state,
+    line_by_size,
+)
 
 F = Fraction
 
@@ -133,3 +139,129 @@ def test_reports_equal_the_enumeration_reference():
         ties += len({k.size for k in fast.maximizers}) < len(fast.maximizers)
     # The sweep reaches reports with several maximizers of one size.
     assert ties > 0
+
+
+def _lattice_bidder(rng):
+    """(valuation, delta steps, epsilon): a multi-unit bidder with up to 100
+    units or a product-mix bidder on one of the three maximizer faces, with
+    a strong-unit bias of 2 to 5 epsilon-steps."""
+    epsilon = F(1, rng.choice((1, 2, 10)))
+    bias = rng.randint(2, 5)
+    kind = rng.randrange(5)
+    if kind == 0:
+        steps = sorted((rng.randint(0, 40) for _ in range(rng.randint(1, 100))), reverse=True)
+        steps[0] = max(steps[0], 1)
+        return MultiUnitValuation(tuple(q * epsilon for q in steps)), bias, epsilon
+    gamma = rng.randint(0, 100) if rng.randrange(2) else rng.randint(0, 8)
+    weak = rng.randint(1, 20)
+    strong = {
+        1: weak + bias + rng.randint(1, 5),  # strong ray
+        2: weak + bias,  # every split
+        3: weak + rng.randint(1, bias - 1),  # weak ray
+    }.get(kind)
+    if strong is None:  # strong only
+        return ProductMixValuation(0, rng.randint(1, 30) * epsilon, gamma), bias, epsilon
+    return ProductMixValuation(weak * epsilon, strong * epsilon, gamma), bias, epsilon
+
+
+def _lattice_state(rng, values, n, i, bias):
+    """A random envelope state in epsilon steps for agent i of n, with one of
+    the agent's lines moved, half of the time, to tie the best other line's
+    maximum, so that several lines are optimal."""
+    p = tuple(rng.randint(0, 45) for _ in range(n + 1))
+    alpha = {
+        (a, j): rng.randint(-100, 300) for a in range(1, n + 1) for j in range(0, n + 1) if j != a
+    }
+    lines = [j for j in range(0, n + 1) if j != i]
+    if len(lines) > 1 and rng.randrange(2):
+        def line_max(j):
+            return max(v - s * p[j] - alpha[(i, j)] for s, v in enumerate(values))
+
+        moved, *others = rng.sample(lines, len(lines))
+        alpha[(i, moved)] += line_max(moved) - max(map(line_max, others))
+    return EnvelopePriceState(n=n, p=p, alpha=alpha, delta=bias)
+
+
+def _with_records(query):
+    """query()'s report and the contiguity records it left."""
+    before = len(demand.contiguity_counterexamples)
+    report = query()
+    records = demand.contiguity_counterexamples[before:]
+    del demand.contiguity_counterexamples[before:]
+    return report, records
+
+
+def test_closed_form_demand_equals_the_size_tables():
+    """Report for report, and contiguity record for record, the line-interval
+    demand equals the size-table reference under envelope and linear prices,
+    in epsilon-step ints and in real-unit Fractions, and the enumeration
+    reference where the capacity is at most 8."""
+    rng = random.Random(20261018)
+    gaps = splits = weak = enumerated = 0
+    for _ in range(600):
+        v, bias, epsilon = _lattice_bidder(rng)
+        n = rng.randint(1, 5)
+        i = rng.randint(1, n)
+        steps = [(q / epsilon).numerator for q in best_value_by_size(v, bias * epsilon)]
+        state = _lattice_state(rng, steps, n, i, bias)
+        real = EnvelopePriceState(
+            n=n,
+            p=tuple(q * epsilon for q in state.p),
+            alpha={key: q * epsilon for key, q in state.alpha.items()},
+            delta=bias * epsilon,
+        )
+        face = demand.maximizer_face(v, real.delta)
+        rising = demand.rising_marginals(steps)
+        in_steps = _with_records(lambda: demand_set(v, state, i, steps, face, epsilon, rising))
+        assert in_steps == _with_records(lambda: demand_from_size_tables(
+            v, i, steps, envelope_price_by_size(state, i, v.capacity), bias, face, epsilon
+        ))
+        in_units = _with_records(lambda: demand_set(v, real, i))
+        assert in_units == _with_records(lambda: demand_from_size_tables(
+            v, i, best_value_by_size(v, real.delta),
+            envelope_price_by_size(real, i, v.capacity), real.delta,
+        ))
+        # The same demand, its records written in real units either way.
+        assert in_units[0].max_utility == in_steps[0].max_utility * epsilon
+        assert in_units[0].maximizers == in_steps[0].maximizers
+        assert in_units[1] == in_steps[1]
+        price = rng.randint(0, 45)
+        linear = demand_at_linear_price(v, i, price, bias, steps, face, epsilon, rising)
+        assert linear == demand_from_size_tables(
+            v, i, steps, line_by_size(price, 0, v.capacity), bias, face, epsilon
+        )
+        linear_units = demand_at_linear_price(v, i, price * epsilon, real.delta)
+        assert linear_units.maximizers == linear.maximizers
+        if v.capacity <= 8:
+            assert in_units[0] == oracle.demand_set_by_enumeration(v, real, i)
+            assert linear_units == oracle.demand_at_linear_price_by_enumeration(
+                v, i, price * epsilon, real.delta
+            )
+            enumerated += 1
+        gaps += bool(in_steps[1])
+        splits += face == demand.EVERY_SPLIT and in_steps[0].kappa_max > 1
+        weak += face == demand.WEAK_RAY and in_steps[0].kappa_max > 0
+    assert gaps >= 10 and splits >= 10 and weak >= 10 and enumerated >= 100
+
+
+def test_uce_demand_builds_no_size_table(table1, monkeypatch):
+    """Stepped through every round, the Table-1 run and the narrow-fine
+    seed-0 markets never build a per-size envelope price in demand_set: no
+    report there has a gap for the contiguity monitor to record."""
+    built, queried = [], []
+    size_table, query = demand.envelope_price_by_size, auction.demand_set
+    monkeypatch.setattr(
+        demand, "envelope_price_by_size", lambda *args: built.append(args) or size_table(*args)
+    )
+    monkeypatch.setattr(auction, "demand_set", lambda *args: queried.append(args) or query(*args))
+    monkeypatch.setattr(auction, "_MAX_JUMP", 1)
+    markets = [table1] + [
+        generate_product_mix(
+            seed=seed, n=4, K=12, epsilon=F(1, 100), value_steps_max=150, direction=direction
+        )
+        for seed in range(5)
+        for direction in ("ascending", "descending")
+    ]
+    rounds = sum(inst.n * auction.run_uce_auction(inst)[0].rounds for inst in markets)
+    assert len(queried) == rounds > 1000
+    assert built == []

@@ -1,7 +1,6 @@
 import itertools
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from uceauction.auction import run_uce_auction
 from uceauction.demand import OVER_DEMAND, UNDER_DEMAND, demand_set
 from uceauction.model import Bundle, Instance, MultiUnitValuation, ProductMixValuation
 from uceauction.pricing import initial_state
+from uceauction.records import replace
 
 F = Fraction
 

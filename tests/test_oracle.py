@@ -79,6 +79,29 @@ def test_vcg_from_uce_requires_universal_prices(table1):
         oracle.vcg_from_uce(table1, lambda i, k: F(0))
 
 
+def test_vcg_from_uce_takes_the_callers_certification(table1, monkeypatch):
+    """A certification the caller holds is used, not recomputed, and gives
+    the same payments; without one the prices are certified first, and a
+    failed one is refused."""
+    out, _ = run_uce_auction(table1)
+    state = out.final_state
+
+    def price_fn(i, k):
+        return rho_adjusted(state, i, k)
+
+    certification = oracle.certify_uce(table1, price_fn)
+    rejected = oracle.certify_uce(table1, lambda i, k: F(0))
+    calls = []
+    real = oracle.certify_uce
+    monkeypatch.setattr(oracle, "certify_uce", lambda *args: calls.append(args) or real(*args))
+    given = oracle.vcg_from_uce(table1, price_fn, certification=certification)
+    assert calls == []
+    assert given == oracle.vcg_from_uce(table1, price_fn) == out.payments
+    assert len(calls) == 1
+    with pytest.raises(oracle.NotUniversal):
+        oracle.vcg_from_uce(table1, price_fn, certification=rejected)
+
+
 def test_vcg_payoffs_allocation_independent(rng):
     """Payments derived from terminal prices depend on the efficient
     allocation chosen, but value minus payment always equals the payoff."""

@@ -25,6 +25,9 @@ both trace files:
   `generate_multi_unit(seed=3, n=12, K=200)` and `(seed=3, n=30, K=600)`,
   whose capacities (up to 2K/n units per bidder) make the terminal phase's
   optima and the clocks' kappa sums range over many marginals;
+- one large product-mix market, `generate_product_mix(seed=3, n=40, K=400)`
+  at epsilon = 1/100, whose UCE run holds long runs of identical rounds
+  over 40 agents' envelopes of 40 price lines each;
 - and, with `--round-cap` 1, 2 and half the engine's uncapped round count,
   Table 1, the 12-bidder single-mode market whose UCE run refines, and the
   first ascending and descending markets of the `wide-coarse` and
@@ -52,7 +55,6 @@ import sys
 sys.dont_write_bytecode = True
 
 import contextlib  # noqa: E402
-import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
@@ -77,6 +79,15 @@ def import_checkout(root: Path):
     return pkg, importlib.import_module("workloads")
 
 
+def with_mode(instance, mode):
+    """The instance in update mode `mode`, rebuilt through its constructor,
+    which Instance has whether it is a dataclass or a record."""
+    return type(instance)(
+        agents=instance.agents, K=instance.K, delta=instance.delta, epsilon=instance.epsilon,
+        p_init=instance.p_init, direction=instance.direction, update_mode=mode,
+    )
+
+
 def criterion3_instances(generate):
     """Acceptance criterion 3's instances, in its order."""
     rng = random.Random(12345)
@@ -87,7 +98,7 @@ def criterion3_instances(generate):
         mode = MODES[(idx // 2) % 2]
         direction = ("ascending", "descending")[(idx // 4) % 2]
         instance = family(rng, direction=direction)
-        yield "c3-%03d" % idx, dataclasses.replace(instance, update_mode=mode)
+        yield "c3-%03d" % idx, with_mode(instance, mode)
 
 
 def biased_multi_unit_markets(model):
@@ -199,7 +210,7 @@ def auction_runs(pkg, workloads):
         for mode in MODES:
             for market in pool:
                 yield ("%s-%s-%s" % (name, market.id, mode),
-                       dataclasses.replace(market.instance, update_mode=mode), ENGINES)
+                       with_mode(market.instance, mode), ENGINES)
     for label, instance in tie_face_markets(pkg.model):
         yield label, instance, ENGINES
     for label, instance in biased_multi_unit_markets(pkg.model):
@@ -207,6 +218,8 @@ def auction_runs(pkg, workloads):
     for n, K in ((12, 200), (30, 600)):
         instance = pkg.generate.generate_multi_unit(seed=3, n=n, K=K, epsilon=Fraction(1, 100))
         yield "mu-seed3-n%d-K%d" % (n, K), instance, ENGINES
+    instance = pkg.generate.generate_product_mix(seed=3, n=40, K=400, epsilon=Fraction(1, 100))
+    yield "pm-seed3-n40-K400", instance, ENGINES
 
 
 def capped_runs(pkg, workloads):
